@@ -21,12 +21,15 @@ that hold:
   on merged arrays — elementwise math is batching-invariant (the circuit
   MVM chain additionally runs per chip slice, where merged temporaries
   measure slower on cache-bound hosts);
-* every GEMM runs with exactly the operand shapes, strides, and dtypes
-  the unfused path would use: the merged activation tensor is sliced
-  back per chip (contiguous row ranges) and multiplied against that
-  chip's weight slice in a plain 2-D ``np.matmul`` — the *same* BLAS
-  call the unfused layer makes, so no assumption about reduction-order
-  invariance across GEMM geometries is ever needed.
+* every GEMM runs with exactly the operand shapes, orientation, and
+  dtypes the unfused path would use, in a plain 2-D ``np.matmul`` — the
+  *same* BLAS call the unfused layer makes, so no assumption about
+  reduction-order invariance across GEMM geometries is ever needed.  A
+  linear layer slices the merged activations back per chip as row
+  ranges (``x_c @ W_c.T``); a conv layer slices the merged channel-major
+  im2col matrix ``(C*kh*kw, sum(B_c)*H_out*W_out)`` as column ranges
+  (``W_c @ cols_c``), because :func:`~repro.nn.conv.im2col` lays every
+  sample's output positions out along the columns.
 
 Because the GEMMs are per-slice, groups do **not** require equal batch
 sizes — the merge only amortizes interpreter, im2col, quantization, and
@@ -86,23 +89,45 @@ class _FusedLayerBase(Module):
         object.__setattr__(self, "owner", owner)
 
 
-def _sliced_matmul(flat: np.ndarray, idx, bounds, scale: int, stacks) -> np.ndarray:
-    """Per-chip-slice GEMMs over a merged activation matrix.
+def _sliced_matmul(flat: np.ndarray, idx, bounds, stacks) -> np.ndarray:
+    """Per-chip-slice GEMMs over a merged linear-layer activation matrix.
 
-    ``flat`` is ``(sum(B_c) * scale, k)`` with chip ``c``'s rows at
-    ``[bounds[c] * scale, bounds[c + 1] * scale)``; ``stacks[pos]`` is
-    that chip's ``(k, n)`` operand *in the unfused layout* (an
-    F-contiguous ``.T`` view for weight matrices, C-contiguous for
-    conductance tiles).  Each slice runs the identical 2-D ``np.matmul``
-    the unfused layer would — contiguous A slice, same-layout B — which
-    is what makes the fused output bit-identical to per-chip dispatch on
-    any BLAS (the transpose flag reaches the BLAS kernel, and output
-    bits are *not* invariant to it at small M).
+    ``flat`` is ``(sum(B_c), k)`` with chip ``c``'s rows at
+    ``[bounds[c], bounds[c + 1])``; ``stacks[pos]`` is that chip's
+    ``(k, n)`` weight operand *in the unfused layout*, the F-contiguous
+    ``.T`` view of its ``(n, k)`` weight.  Each slice runs the identical
+    2-D ``np.matmul`` the unfused layer would — contiguous A slice,
+    same-layout B — which is what makes the fused output bit-identical
+    to per-chip dispatch on any BLAS (the transpose flag reaches the
+    BLAS kernel, and output bits are *not* invariant to it at small M).
     """
     out = np.empty((flat.shape[0], stacks[idx[0]].shape[1]))
     for pos, start, stop in zip(idx, bounds[:-1], bounds[1:]):
-        rows = slice(start * scale, stop * scale)
-        np.matmul(flat[rows], stacks[pos], out=out[rows])
+        np.matmul(flat[start:stop], stacks[pos], out=out[start:stop])
+    return out
+
+
+def _sliced_conv_matmul(cols: np.ndarray, idx, bounds, scale: int, stacks) -> np.ndarray:
+    """Per-chip-slice conv GEMMs over a merged channel-major im2col matrix.
+
+    ``cols`` is ``(k, sum(B_c) * scale)`` with chip ``c``'s output
+    positions in columns ``[bounds[c] * scale, bounds[c + 1] * scale)``;
+    ``stacks[pos]`` is that chip's C-contiguous ``(n, k)`` flattened
+    weight.  Each slice runs the unfused conv's ``w_mat @ cols`` — same
+    operand order and orientation, a unit-stride column block of ``cols``
+    — so the output bits match per-chip dispatch (see
+    :func:`_sliced_matmul` for why orientation matters).
+    """
+    out = np.empty((stacks[idx[0]].shape[0], cols.shape[1]))
+    for pos, start, stop in zip(idx, bounds[:-1], bounds[1:]):
+        span = slice(start * scale, stop * scale)
+        block = cols[:, span]
+        if len(stacks[pos]) == 1:
+            # A one-row weight makes numpy call GEMV, whose bits (unlike
+            # GEMM's) depend on the block's row stride: hand it the
+            # contiguous block the unfused conv multiplies.
+            block = np.ascontiguousarray(block)
+        np.matmul(stacks[pos], block, out=out[:, span])
     return out
 
 
@@ -127,7 +152,7 @@ class _FusedQuantLinear(_FusedLayerBase):
             spec = qlayer.act_spec
             codes = np.clip(np.rint(data / float(qlayer.act_scale)), spec.qmin, spec.qmax)
             data = codes * float(qlayer.act_scale)
-        out = _sliced_matmul(data, idx, bounds, 1, self.stacks)
+        out = _sliced_matmul(data, idx, bounds, self.stacks)
         if qlayer.bias is not None:
             out = out + qlayer.bias.data
         return Tensor(out)
@@ -137,16 +162,16 @@ class _FusedQuantConv2d(_FusedLayerBase):
     """Stacked :class:`~repro.quant.qlayers.QuantConv2d` across the fleet.
 
     im2col runs once over the merged batch (patch extraction is
-    per-sample, so merged rows are bit-identical to per-chip rows), then
-    each chip's row range — ``B_c * H_out * W_out`` flat output
-    positions — multiplies that chip's flattened weight matrix in the
-    same 2-D GEMM the unfused :func:`~repro.nn.conv.conv2d` runs.
+    per-sample, so merged columns are bit-identical to per-chip columns),
+    then each chip's column range — ``B_c * H_out * W_out`` output
+    positions — is multiplied by that chip's flattened weight matrix in
+    the same 2-D GEMM the unfused :func:`~repro.nn.conv.conv2d` runs.
     """
 
     def __init__(self, owner, qlayer: QuantConv2d, stacks: list[np.ndarray]) -> None:
         super().__init__(owner)
         object.__setattr__(self, "qlayer", qlayer)
-        # Per chip, (C*kh*kw, out_channels) flattened-transposed weights.
+        # Per chip, (out_channels, C*kh*kw) C-contiguous flattened weights.
         object.__setattr__(self, "stacks", stacks)
 
     def forward(self, x):
@@ -159,10 +184,11 @@ class _FusedQuantConv2d(_FusedLayerBase):
             data = codes * float(qlayer.act_scale)
         kernel = (qlayer.kernel_size, qlayer.kernel_size)
         cols = im2col(data, kernel, qlayer.stride, qlayer.padding)
-        total, h_out, w_out, patch = cols.shape
-        flat = cols.reshape(-1, patch)
-        out = _sliced_matmul(flat, idx, bounds, h_out * w_out, self.stacks)
-        out = out.reshape(total, h_out, w_out, -1).transpose(0, 3, 1, 2)
+        patch, total, h_out, w_out = cols.shape
+        out = _sliced_conv_matmul(
+            cols.reshape(patch, -1), idx, bounds, h_out * w_out, self.stacks
+        )
+        out = out.reshape(-1, total, h_out, w_out).transpose(1, 0, 2, 3)
         if qlayer.bias is not None:
             out = out + qlayer.bias.data.reshape((1, -1, 1, 1))
         return Tensor(out)
@@ -216,11 +242,12 @@ class _FusedMappedLinear(_FusedMappedBase):
 class _FusedMappedConv2d(_FusedMappedBase):
     """Fleet-shared :class:`~repro.pim.chip.MappedConv2d` dispatch.
 
-    The unfused circuit conv flattens im2col patches to a
-    ``(B*H_out*W_out, d_in)`` drive matrix; the fused version extracts
-    patches from the merged batch once and scales each chip's row range
-    by ``H_out * W_out``, so every per-chip MVM sees exactly the drive
-    rows the unfused layer would.
+    The unfused circuit conv drives its arrays with the
+    ``(B*H_out*W_out, d_in)`` view ``cols.reshape(d_in, -1).T`` of the
+    channel-major im2col matrix; the fused version extracts patches from
+    the merged batch once, takes the same view, and scales each chip's
+    row range by ``H_out * W_out``, so every per-chip MVM sees exactly
+    the drive rows (values and layout) the unfused layer would.
     """
 
     def forward(self, x):
@@ -230,9 +257,9 @@ class _FusedMappedConv2d(_FusedMappedBase):
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         data = np.asarray(data, dtype=np.float64)
         kernel = (qlayer.kernel_size, qlayer.kernel_size)
-        patches = im2col(data, kernel, qlayer.stride, qlayer.padding)
-        total, h_out, w_out, patch = patches.shape
-        out = self._per_chip_mvm(patches.reshape(-1, patch), idx, bounds, h_out * w_out)
+        cols = im2col(data, kernel, qlayer.stride, qlayer.padding)
+        patch, total, h_out, w_out = cols.shape
+        out = self._per_chip_mvm(cols.reshape(patch, -1).T, idx, bounds, h_out * w_out)
         out = out.reshape(total, h_out, w_out, first.d_out).transpose(0, 3, 1, 2)
         if qlayer.bias is not None:
             out = out + qlayer.bias.data.reshape((1, -1, 1, 1))
@@ -325,14 +352,16 @@ class FusedFleetForward:
             for layer in layers:
                 with no_grad():
                     weight = layer._quantize_weight().data
+                weight = np.ascontiguousarray(np.asarray(weight, dtype=np.float64))
+                # Keep the unfused operand layout exactly; BLAS output bits
+                # depend on the transpose flag at small M.  The unfused conv
+                # multiplies w_mat @ cols with w_mat the C-contiguous
+                # (n, k) flattened weight; the unfused linear multiplies by
+                # w_tilde.T, an F-contiguous view of the (n, k) weight.
                 if isinstance(first, QuantConv2d):
-                    weight = weight.reshape(layer.out_channels, -1)
-                # Keep the unfused operand layout exactly: the unfused GEMM
-                # multiplies by w_tilde.T, an F-contiguous view of the
-                # C-contiguous (n, k) weight.  BLAS output bits depend on
-                # the transpose flag at small M, so a C-contiguous (k, n)
-                # copy would NOT be bit-identical — store the .T view.
-                effective.append(np.ascontiguousarray(np.asarray(weight, dtype=np.float64)).T)
+                    effective.append(weight.reshape(layer.out_channels, -1))
+                else:
+                    effective.append(weight.T)
             stacks[name] = effective
 
         def make_adapter(path, layer):

@@ -744,7 +744,7 @@ def _bench_scale(args, engine) -> dict:
         "model": args.model,
         "notation": args.notation,
         "backend": args.backend,
-        "num_chips": args.num_chips,
+        "num_chips": len(engine.fleet),
         "fleet": args.fleet,
         "max_batch": args.max_batch,
         "max_wait": args.max_wait,

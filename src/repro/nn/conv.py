@@ -4,6 +4,16 @@ The analog-PIM mapping in the paper lowers convolutions to matrix-vector
 products over im2col patches; this implementation mirrors that lowering,
 which also makes it the natural integration point for crossbar simulation
 (:mod:`repro.pim`) and the LTM patch-sum estimation (:mod:`repro.selftuning`).
+
+The lowering is channel-major (Chellapilla et al., 2006): :func:`im2col`
+returns the unrolled matrix as ``(C*kh*kw, N, H_out, W_out)``, one row per
+weight column, so it fills with ``kh*kw`` strided slab copies whose inner
+runs are whole output rows.  The conv GEMM is then ``w_mat @ cols`` with
+``w_mat`` the ``(C_out, C*kh*kw)`` flattened weight; its
+``(C_out, N, H_out, W_out)`` result is handed back as an NCHW view.  Every
+conv-shaped caller — the autograd conv, average pooling, the quantized
+layers, the crossbar-mapped conv and the fused fleet adapters — uses this
+one lowering; crossbar drive rows are the view ``cols.reshape(K, -1).T``.
 """
 
 from __future__ import annotations
@@ -16,16 +26,28 @@ from repro.nn.module import Module, Parameter
 
 
 def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
-    """Lower NCHW input to patch matrix of shape ``(N, H_out, W_out, C*kh*kw)``."""
+    """Lower NCHW input to the patch matrix ``(C*kh*kw, N, H_out, W_out)``.
+
+    Row ``(c, i, j)`` holds input channel ``c`` at kernel offset ``(i, j)``
+    for every output position, in the order ``weight.reshape(C_out, -1)``
+    flattens its columns.
+    """
+    n, c, h, w = x.shape
     kh, kw = kernel
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, C, Ho, Wo, kh, kw) -> (N, Ho, Wo, C, kh, kw)
-    windows = windows.transpose(0, 2, 3, 1, 4, 5)
-    n, h_out, w_out = windows.shape[:3]
-    return np.ascontiguousarray(windows).reshape(n, h_out, w_out, -1)
+        source = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        source[:, :, padding : padding + h, padding : padding + w] = x.transpose(1, 0, 2, 3)
+    else:
+        source = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, h_out, w_out), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = source[
+                :, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
+            ]
+    return cols.reshape(c * kh * kw, n, h_out, w_out)
 
 
 def col2im(
@@ -35,22 +57,19 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add patch gradients back to input shape (inverse of im2col)."""
+    """Scatter-add ``(C*kh*kw, N, H_out, W_out)`` patch gradients back to NCHW."""
     n, c, h, w = x_shape
     kh, kw = kernel
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    h_out = (h_pad - kh) // stride + 1
-    w_out = (w_pad - kw) // stride + 1
-    cols = cols.reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    out = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
+    cols = cols.reshape(c, kh, kw, n, h_out, w_out)
+    out = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[
-                :, :, :, :, i, j
+                :, i, j
             ]
-    if padding:
-        out = out[:, :, padding : padding + h, padding : padding + w]
-    return out
+    return out[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -62,33 +81,30 @@ class Conv2dFunction(Function):
     """Fused conv2d: forward + backward w.r.t. input, weight, and bias."""
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0):
-        out_channels, in_channels, kh, kw = weight.shape
-        cols = im2col(x, (kh, kw), stride, padding)  # (N, Ho, Wo, C*kh*kw)
+        out_channels = weight.shape[0]
+        cols = im2col(x, weight.shape[2:], stride, padding)  # (C*kh*kw, N, Ho, Wo)
         w_mat = weight.reshape(out_channels, -1)
-        n, h_out, w_out, patch = cols.shape
-        # One flat GEMM over all output positions beats a broadcast of
-        # (Wo, patch) @ (patch, C_out) micro-GEMMs by a wide margin when
-        # C_out is small (the BLAS call overhead dominates tiny matmuls).
-        out = (cols.reshape(-1, patch) @ w_mat.T).reshape(n, h_out, w_out, out_channels)
+        patch, n, h_out, w_out = cols.shape
+        # One flat GEMM over all output positions: the long N*Ho*Wo side is
+        # the GEMM's column count, so the BLAS call overhead is paid once.
+        out = (w_mat @ cols.reshape(patch, -1)).reshape(out_channels, n, h_out, w_out)
         if bias is not None:
-            out = out + bias
+            out = out + bias.reshape(-1, 1, 1, 1)
         self.save_for_backward(cols, w_mat, x.shape, weight.shape)
         self.stride = stride
         self.padding = padding
         self.has_bias = bias is not None
-        return out.transpose(0, 3, 1, 2)
+        return out.transpose(1, 0, 2, 3)
 
     def backward(self, grad):
         cols, w_mat, x_shape, w_shape = self.saved
-        out_channels = w_shape[0]
-        # grad: (N, out_channels, Ho, Wo) -> (N, Ho, Wo, out_channels)
-        grad_nhwc = grad.transpose(0, 2, 3, 1)
-        grad_flat = grad_nhwc.reshape(-1, out_channels)
-        cols_flat = cols.reshape(-1, cols.shape[-1])
-        grad_weight = (grad_flat.T @ cols_flat).reshape(w_shape)
-        grad_cols = grad_nhwc @ w_mat  # (N, Ho, Wo, C*kh*kw)
+        # grad: (N, C_out, Ho, Wo) -> (C_out, N*Ho*Wo), the forward GEMM's output.
+        grad_mat = grad.transpose(1, 0, 2, 3).reshape(w_shape[0], -1)
+        cols_mat = cols.reshape(cols.shape[0], -1)
+        grad_weight = (grad_mat @ cols_mat.T).reshape(w_shape)
+        grad_cols = w_mat.T @ grad_mat  # (C*kh*kw, N*Ho*Wo)
         grad_x = col2im(grad_cols, x_shape, w_shape[2:], self.stride, self.padding)
-        grad_bias = grad_flat.sum(axis=0) if self.has_bias else None
+        grad_bias = grad_mat.sum(axis=1) if self.has_bias else None
         return grad_x, grad_weight, grad_bias
 
 

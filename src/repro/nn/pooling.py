@@ -72,12 +72,11 @@ class MaxPool2d(Module):
 
 class AvgPool2dFunction(Function):
     def forward(self, x, kernel: int, stride: int):
-        cols = im2col(x[:, :, :, :], (kernel, kernel), stride, 0)
-        # im2col flattens channels with the window; recover per-channel means.
-        n, h_out, w_out, _ = cols.shape
-        c = x.shape[1]
-        cols = cols.reshape(n, h_out, w_out, c, kernel * kernel)
-        out = cols.mean(axis=-1).transpose(0, 3, 1, 2)
+        cols = im2col(x, (kernel, kernel), stride, 0)
+        # im2col rows are (channel, window offset); average each channel's
+        # window rows and hand the (C, N, Ho, Wo) means back as NCHW.
+        cols = cols.reshape(x.shape[1], kernel * kernel, *cols.shape[1:])
+        out = cols.mean(axis=1).transpose(1, 0, 2, 3)
         self.kernel = kernel
         self.stride = stride
         self.x_shape = x.shape

@@ -52,6 +52,12 @@ class Observability:
             if tracing
             else NullRecorder(self.clock)
         )
+        # ``span(name, **attrs)`` opens a timed-region context manager and
+        # ``event(name, **attrs)`` records an instantaneous span; both are
+        # the recorder's own bound methods, so a disabled op (NullRecorder)
+        # costs one call, not two.
+        self.span = self.recorder.span
+        self.event = self.recorder.event
 
     @classmethod
     def default(cls, tracing: bool = True, clock: Clock | None = None) -> "Observability":
@@ -65,14 +71,6 @@ class Observability:
     @property
     def tracing(self) -> bool:
         return self.recorder.enabled
-
-    def span(self, name: str, **attrs):
-        """A timed-region context manager (no-op when tracing is off)."""
-        return self.recorder.span(name, **attrs)
-
-    def event(self, name: str, **attrs) -> None:
-        """An instantaneous span (no-op when tracing is off)."""
-        self.recorder.event(name, **attrs)
 
     def __repr__(self) -> str:
         return (

@@ -177,9 +177,10 @@ class MappedConv2d(_MappedLayer):
 
         x = np.asarray(x, dtype=np.float64)
         kernel = (self.qlayer.kernel_size, self.qlayer.kernel_size)
-        patches = im2col(x, kernel, self.qlayer.stride, self.qlayer.padding)
-        n, h, w, _ = patches.shape
-        out = self._mvm(patches.reshape(n * h * w, -1))
+        cols = im2col(x, kernel, self.qlayer.stride, self.qlayer.padding)
+        patch, n, h, w = cols.shape
+        # Drive rows: one per output position, the (n*h*w, patch) view of cols.
+        out = self._mvm(cols.reshape(patch, -1).T)
         out = out.reshape(n, h, w, self.d_out).transpose(0, 3, 1, 2)
         if self.qlayer.bias is not None:
             out = out + self.qlayer.bias.data.reshape((1, -1, 1, 1))

@@ -29,7 +29,7 @@ class _QuantLayerBase(Module):
 
     accepts_variation = True
 
-    def _init_quant_state(self, qconfig: QConfig) -> None:
+    def _init_quant_state(self, qconfig: QConfig, search_scale: bool) -> None:
         self.qconfig = qconfig
         self.weight_spec = QuantSpec(qconfig.weight_bits)
         self.act_spec = QuantSpec(qconfig.activation_bits)
@@ -46,7 +46,10 @@ class _QuantLayerBase(Module):
         self.current_chip = None
         # Self-tuning hook, installed by repro.selftuning.wrap.
         self.self_tuner = None
-        self.refresh_weight_scale()
+        # from_float skips this search: it replaces the random weight and
+        # searches again on the real one.
+        if search_scale:
+            self.refresh_weight_scale()
 
     # ------------------------------------------------------------------
     # Scales
@@ -182,6 +185,7 @@ class QuantLinear(_QuantLayerBase):
         out_features: int,
         qconfig: QConfig,
         bias: bool = True,
+        _search_scale: bool = True,
     ) -> None:
         super().__init__()
         from repro.nn import init
@@ -190,12 +194,18 @@ class QuantLinear(_QuantLayerBase):
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_normal((out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
-        self._init_quant_state(qconfig)
+        self._init_quant_state(qconfig, _search_scale)
 
     @classmethod
     def from_float(cls, layer, qconfig: QConfig) -> "QuantLinear":
         """Build from a trained float :class:`repro.nn.Linear`."""
-        out = cls(layer.in_features, layer.out_features, qconfig, bias=layer.bias is not None)
+        out = cls(
+            layer.in_features,
+            layer.out_features,
+            qconfig,
+            bias=layer.bias is not None,
+            _search_scale=False,
+        )
         out.weight.data = layer.weight.data.copy()
         if layer.bias is not None:
             out.bias.data = layer.bias.data.copy()
@@ -246,6 +256,7 @@ class QuantConv2d(_QuantLayerBase):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
+        _search_scale: bool = True,
     ) -> None:
         super().__init__()
         from repro.nn import init
@@ -259,7 +270,7 @@ class QuantConv2d(_QuantLayerBase):
             init.kaiming_normal((out_channels, in_channels, kernel_size, kernel_size))
         )
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
-        self._init_quant_state(qconfig)
+        self._init_quant_state(qconfig, _search_scale)
 
     @classmethod
     def from_float(cls, layer, qconfig: QConfig) -> "QuantConv2d":
@@ -272,6 +283,7 @@ class QuantConv2d(_QuantLayerBase):
             stride=layer.stride,
             padding=layer.padding,
             bias=layer.bias is not None,
+            _search_scale=False,
         )
         out.weight.data = layer.weight.data.copy()
         if layer.bias is not None:
@@ -291,19 +303,16 @@ class QuantConv2d(_QuantLayerBase):
 
     def input_sums(self, x_data: np.ndarray) -> np.ndarray:
         """Sum of each im2col patch: shape (N, H_out, W_out)."""
-        kernel = (self.kernel_size, self.kernel_size)
-        return im2col(x_data, kernel, self.stride, self.padding).sum(axis=-1)
+        return self.patch_matrix(x_data).sum(axis=-1)
 
     def input_sqnorms(self, x_data: np.ndarray) -> np.ndarray:
         """Squared L2 norm of each im2col patch: shape (N, H_out, W_out)."""
-        kernel = (self.kernel_size, self.kernel_size)
-        cols = im2col(x_data, kernel, self.stride, self.padding)
-        return (cols**2).sum(axis=-1)
+        return (self.patch_matrix(x_data) ** 2).sum(axis=-1)
 
     def patch_matrix(self, x_data: np.ndarray) -> np.ndarray:
-        """im2col rows driving the MVM arrays: shape (N, H_out, W_out, C*k*k)."""
+        """im2col rows driving the MVM arrays: a (N, H_out, W_out, C*k*k) view."""
         kernel = (self.kernel_size, self.kernel_size)
-        return im2col(x_data, kernel, self.stride, self.padding)
+        return im2col(x_data, kernel, self.stride, self.padding).transpose(1, 2, 3, 0)
 
     def mvm_input_dim(self) -> int:
         return self.in_channels * self.kernel_size * self.kernel_size

@@ -228,6 +228,30 @@ class TestCliEndToEnd:
             "round-robin", "drift-aware",
         ]
 
+    def test_bench_record_counts_the_fleet_that_ran(self, tmp_path, capsys):
+        """--fleet overrides --num-chips, so the BENCH scale block must
+        report the chips the engine built, not the --num-chips default."""
+        from repro.obs import BenchRecorder
+
+        bench_json = tmp_path / "BENCH_lifetime.json"
+        code = main(
+            [
+                "lifetime-bench",
+                "--skip-training",
+                "--fleet", "rram:3,flash:2",
+                "--requests", "32",
+                "--max-batch", "8",
+                "--trace-rate", "4",
+                "--policies", "round-robin",
+                "--results-dir", str(tmp_path),
+                "--bench-json", str(bench_json),
+            ]
+        )
+        assert code == 0
+        scale = BenchRecorder(str(bench_json), bench="lifetime").latest()["scale"]
+        assert scale["fleet"] == "rram:3,flash:2"
+        assert scale["num_chips"] == 5
+
     @pytest.mark.slow
     def test_run_with_self_tuning(self, tmp_path, capsys):
         code = main(

@@ -90,14 +90,14 @@ class TestIm2col:
     def test_round_trip_counts(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
         cols = im2col(x, (2, 2), 2, 0)
-        assert cols.shape == (1, 2, 2, 4)
+        assert cols.shape == (4, 1, 2, 2)  # (C*kh*kw, N, H_out, W_out)
         # Non-overlapping stride: col2im of ones recovers ones.
         back = col2im(np.ones_like(cols), x.shape, (2, 2), 2, 0)
         assert np.allclose(back, 1.0)
 
     def test_overlap_accumulates(self, rng):
         x_shape = (1, 1, 3, 3)
-        cols = np.ones((1, 2, 2, 4))  # kernel 2, stride 1
+        cols = np.ones((4, 1, 2, 2))  # kernel 2, stride 1
         back = col2im(cols, x_shape, (2, 2), 1, 0)
         # Center pixel belongs to all four patches.
         assert back[0, 0, 1, 1] == pytest.approx(4.0)

@@ -145,6 +145,37 @@ class TestConversion:
         assert qconv.padding == 1
         assert qconv.bias is None
 
+    def test_conversion_searches_each_scale_once(self, monkeypatch):
+        """from_float searches the MMSE scale on the float weight only, not
+        on the random weight the constructor draws and then discards."""
+        from repro.models import build_model
+        from repro.nn import init
+        from repro.quant import qlayers
+        from repro.quant.scaling import mmse_scale
+
+        init.seed(0)
+        model = build_model("lenet5", num_classes=10, in_channels=1)
+        float_weights = [
+            module.weight.data.copy()
+            for module in model.modules()
+            if isinstance(module, (nn.Conv2d, nn.Linear))
+        ]
+        searched = []
+
+        def spy(weight, spec, *args, **kwargs):
+            searched.append(weight.copy())
+            return mmse_scale(weight, spec, *args, **kwargs)
+
+        monkeypatch.setattr(qlayers, "mmse_scale", spy)
+        qconfig = QConfig.from_notation("A4W2")
+        convert_to_quantized(model, qconfig)
+        layers = [layer for _, layer in quantized_layers(model)]
+        assert len(searched) == len(layers) == len(float_weights)
+        for weight, float_weight, layer in zip(searched, float_weights, layers):
+            assert np.array_equal(weight, float_weight)
+            expected = mmse_scale(float_weight, QuantSpec(qconfig.weight_bits))
+            assert float(layer.weight_scale) == expected
+
     def test_refresh_weight_scales(self, rng):
         layer = calibrated_linear(rng)
         before = float(layer.weight_scale)
