@@ -194,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="resident mappings bound (default: the whole fleet)",
         )
         sub.add_argument(
-            "--shards",
-            type=_nonnegative_int,
-            default=0,
-            help="shard the fleet across this many worker processes "
-            "(0 = in-process serial; outputs and telemetry digests are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
             "--max-resident-chips",
             type=_positive_int,
             default=None,
@@ -566,6 +558,29 @@ def _lifecycle_config(args):
     )
 
 
+def _serve_config(args, **overrides):
+    """The :class:`~repro.serve.ServeConfig` the serving flags describe.
+
+    ``overrides`` replace individual fields (a raced ``policy``, the
+    sequential baseline's ``max_batch=1``, the gateway's ``continuous``).
+    """
+    from repro.serve import ServeConfig
+
+    fields = dict(
+        max_batch=args.max_batch,
+        max_wait=args.max_wait,
+        policy=args.policy,
+        cache_capacity=args.cache_capacity,
+        seed=args.seed,
+        self_tuning=_self_tuning(args),
+        backend=args.backend,
+        fused=args.fused,
+        max_resident_chips=args.max_resident_chips,
+    )
+    fields.update(overrides)
+    return ServeConfig(**fields)
+
+
 def _serving_workload(args, test):
     reps = 1 + (args.requests - 1) // len(test)
     workload = np.concatenate([test.images] * reps)[: args.requests]
@@ -581,35 +596,22 @@ def _drift_serving_run(model, test, eval_spec, args, policy: str) -> dict:
     paths, and the probe/recalibration schedule are identical across
     policies — only dispatch (and therefore served accuracy) differs.
     """
-    from repro.serve import ChipLifecycle, InferenceEngine, ReplayTrace, ServeConfig
+    from repro.serve import ChipLifecycle, InferenceEngine, ReplayTrace
 
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=policy,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        fused=args.fused,
-        shards=args.shards,
-        max_resident_chips=args.max_resident_chips,
-    )
     engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config,
+        model, eval_spec, args.num_chips, _serve_config(args, policy=policy),
         fleet_spec=_fleet_spec(args, require=True),
     )
     lifecycle = ChipLifecycle(engine, test, _lifecycle_config(args))
     lifecycle.install()
     workload, labels, ids = _serving_workload(args, test)
     # Freeze the arrival schedule into a replay trace: the lifetime bench
-    # is defined over a pinned request timeline, so sharded and serial
-    # runs (and reruns) replay the exact same arrivals.
+    # is defined over a pinned request timeline, so every policy (and
+    # every rerun) replays the exact same arrivals.
     trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
     seconds = time.perf_counter() - started
-    engine.close()
     logits = np.stack([outputs[rid] for rid in ids])
     correct = logits.argmax(axis=1) == labels
     # "End of trace" = the second half of the request stream: long enough to
@@ -752,7 +754,6 @@ def _bench_scale(args, engine) -> dict:
         "trace": args.trace,
         "seed": args.seed,
         "fused": bool(getattr(args, "fused", True)),
-        "shards": int(getattr(args, "shards", 0) or 0),
         "max_resident_chips": getattr(args, "max_resident_chips", None),
         **engine.policy.describe(),
     }
@@ -872,22 +873,11 @@ def _cmd_lifetime_bench(args) -> int:
 
 def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
     """One chaos serving session; returns everything determinism compares."""
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine, ServeConfig
+    from repro.serve import FaultInjector, FaultPlan, InferenceEngine
 
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=args.policy,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        fused=args.fused,
-        shards=args.shards,
-        max_resident_chips=args.max_resident_chips,
-    )
     engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
+        model, eval_spec, args.num_chips, _serve_config(args),
+        fleet_spec=_fleet_spec(args),
     )
     engine.warm_up()
     plan = FaultPlan(
@@ -904,7 +894,6 @@ def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids)
     seconds = time.perf_counter() - started
-    engine.close()
     served = [rid for rid in ids if rid in outputs]
     correct = sum(
         int(outputs[rid].argmax() == label)
@@ -1073,23 +1062,12 @@ def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
     deadlines losable at all — scheduled deaths/stuck-at events stay with
     ``--chaos``.
     """
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine, ServeConfig
+    from repro.serve import FaultInjector, FaultPlan, InferenceEngine
 
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=policy,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        continuous=True,
-        fused=args.fused,
-        shards=args.shards,
-        max_resident_chips=args.max_resident_chips,
-    )
     engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
+        model, eval_spec, args.num_chips,
+        _serve_config(args, policy=policy, continuous=True),
+        fleet_spec=_fleet_spec(args),
     )
     engine.warm_up()
     if policy in ("accuracy-weighted", "drift-aware", "energy-aware", "latency-aware"):
@@ -1107,7 +1085,6 @@ def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids)
     seconds = time.perf_counter() - started
-    engine.close()
     served = [rid for rid in ids if rid in outputs]
     correct = sum(
         int(outputs[rid].argmax() == label)
@@ -1270,7 +1247,7 @@ def _cmd_serve_bench_slo(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.serve import InferenceEngine, ServeConfig
+    from repro.serve import InferenceEngine
 
     if sum((args.chaos, args.drift, args.slo)) > 1:
         raise SystemExit(
@@ -1285,21 +1262,10 @@ def _cmd_serve_bench(args) -> int:
     model, test, eval_spec = _serve_model(args)
     workload, _, ids = _serving_workload(args, test)
 
-    def serve(max_batch: int, max_wait: int, fused: bool, shards: int = 0):
-        config = ServeConfig(
-            max_batch=max_batch,
-            max_wait=max_wait,
-            policy=args.policy,
-            cache_capacity=args.cache_capacity,
-            seed=args.seed,
-            self_tuning=_self_tuning(args),
-            backend=args.backend,
-            fused=fused,
-            shards=shards,
-            max_resident_chips=args.max_resident_chips,
-        )
+    def serve(**overrides):
         engine = InferenceEngine(
-            model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
+            model, eval_spec, args.num_chips, _serve_config(args, **overrides),
+            fleet_spec=_fleet_spec(args),
         )
         engine.warm_up()  # program outside the timed region
         if args.policy in ("accuracy-weighted", "drift-aware", "energy-aware"):
@@ -1309,17 +1275,12 @@ def _cmd_serve_bench(args) -> int:
             outputs = engine.run_trace(workload, _cli_trace(args), ids=ids)
         else:
             outputs = engine.run(workload, ids=ids)
-        engine.close()
         return engine, outputs, time.perf_counter() - started
 
     # The sequential reference is per-request by definition: fusing its
-    # single-sample batches would measure a different baseline (and sharding
-    # one-sample ticks would only measure pipe overhead), so only the batched
-    # engine honours --shards.
+    # single-sample batches would measure a different baseline.
     sequential, seq_out, seq_seconds = serve(max_batch=1, max_wait=0, fused=False)
-    batched, batch_out, batch_seconds = serve(
-        args.max_batch, args.max_wait, fused=args.fused, shards=args.shards
-    )
+    batched, batch_out, batch_seconds = serve()
     mismatched = sum(
         not np.array_equal(seq_out[rid], batch_out[rid]) for rid in ids
     )
@@ -1349,10 +1310,6 @@ def _cmd_serve_bench(args) -> int:
     print(f"fused dispatch: {fused_stats.fused_groups} groups, "
           f"{fused_stats.fused_batches} batches, "
           f"{fused_stats.fused_fallback_batches} fallbacks")
-    if args.shards:
-        print(f"sharded dispatch: {fused_stats.shard_groups} ticks, "
-              f"{fused_stats.shard_batches} batches across "
-              f"{args.shards} shards")
     print(f"telemetry digest: {batched.telemetry.digest()}")
     print()
     _print_span_breakdown(batched, title="per-stage span breakdown (batched)")
@@ -1373,7 +1330,6 @@ def _cmd_serve_bench(args) -> int:
             "max_batch": args.max_batch,
             "max_wait": args.max_wait,
             "requests": args.requests,
-            "shards": args.shards,
             "max_resident_chips": args.max_resident_chips,
             "sequential_seconds": seq_seconds,
             "batched_seconds": batch_seconds,

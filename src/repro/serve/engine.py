@@ -44,7 +44,6 @@ from repro.serve.cache import MappingCache, mapping_key
 from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy
 from repro.serve.health import HealthConfig, HealthMonitor
 from repro.serve.scheduler import dispatchable, make_policy
-from repro.serve.shard import ChipStateRef, ShardPlan, ShardPool
 from repro.serve.telemetry import ServeTelemetry
 from repro.serve.trace import ArrivalTrace
 from repro.variability.faults import FaultSpec
@@ -98,15 +97,11 @@ class ServeConfig:
     injector, self-tuning corrections, an unstackable fleet, or a
     single-batch tick), so turning it off is only ever a debugging aid.
 
-    ``shards`` scales the engine out across worker processes: ``N >= 1``
-    partitions the fleet into ``N`` contiguous shards
-    (:class:`repro.serve.shard.ShardPlan`) and executes each tick's staged
-    batches on a :class:`repro.serve.shard.ShardPool` of forked workers,
-    each owning its shard's programmed chips.  Outputs and the telemetry
-    digest are bit-identical to in-process execution (see
-    ``docs/scale-out.md``); ``0`` (the default) is the in-process serial
-    path — nothing changes for existing callers.  Chaos and self-tuning
-    runs always take the serial path, mirroring ``fused``.
+    ``shards`` must stay ``0``: sharded dispatch across worker processes
+    was removed because it did not pay for itself (the sweep is in
+    ``docs/scale-out.md``), and the engine rejects any other value.  The
+    field remains because the perfbench serving workload records it in
+    its run description.
 
     ``max_resident_chips`` bounds how many chips may be *realized* at
     once on the coordinator: it caps the mapping cache at that many
@@ -397,6 +392,11 @@ class InferenceEngine:
     ) -> None:
         if fleet_spec is None and num_chips < 1:
             raise ValueError(f"num_chips must be >= 1, got {num_chips}")
+        if config.shards:
+            raise ValueError(
+                "sharded dispatch was removed (see docs/scale-out.md); "
+                f"ServeConfig.shards must be 0, got {config.shards}"
+            )
         self.model = model
         self.spec = spec
         self.config = config
@@ -482,18 +482,6 @@ class InferenceEngine:
         #: re-raising :class:`UnstackableError` every tick until the
         #: fleet's programmed state actually changes.
         self._fused_failed_key: tuple | None = None
-        if config.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {config.shards}")
-        #: Contiguous fleet partition driving sharded execution (or None
-        #: for the in-process serial default).
-        self.shard_plan = (
-            ShardPlan.build(len(self.fleet), config.shards) if config.shards else None
-        )
-        self._shard_pool: ShardPool | None = None
-        #: Per-chip programmed-state epoch: bumped whenever something other
-        #: than drift mutates the chip's programmed state (fault pinning,
-        #: recalibration), so shard workers drop and rebuild their copy.
-        self._shard_epochs: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Fleet programming
@@ -626,14 +614,6 @@ class InferenceEngine:
             chip.mapping_stale = False
         return programmed
 
-    def _mapping_for(self, chip: FleetChip):
-        """Backwards-compatible pre-backend accessor: the chip's mapping Module.
-
-        New code should use :meth:`programmed_for` and talk to the
-        :class:`~repro.backends.ProgrammedChip` protocol instead.
-        """
-        return self.programmed_for(chip).mapping
-
     def reprogram(self, chip: FleetChip) -> int:
         """Rewrite one chip's mapping through its owning backend.
 
@@ -643,7 +623,6 @@ class InferenceEngine:
         invalidated (0 when the chip was not resident).
         """
         invalidated = int(self.cache.invalidate(self.key_for(chip)))
-        self._bump_shard_epoch(chip)
         self.programmed_for(chip)
         return invalidated
 
@@ -678,7 +657,6 @@ class InferenceEngine:
         # seeing the sticky entry, once below).
         programmed = self.programmed_for(chip)
         self._sticky_faults[chip.chip_id] = (spec, int(seed))
-        self._bump_shard_epoch(chip)
         with self.obs.span("faults.inject", chip=chip.chip_id) as span:
             stuck = programmed.apply_faults(spec, seed=int(seed))
             span.set(stuck=stuck)
@@ -812,12 +790,44 @@ class InferenceEngine:
             self._dispatch_tick(self.batcher.ready(self.now))
         return request
 
-    def _dispatch(self, batch: Batch) -> list[ServedRequest]:
+    # ------------------------------------------------------------------
+    # Dispatch: stage -> execute -> complete
+    # ------------------------------------------------------------------
+    def _dispatch_tick(self, batches) -> list[ServedRequest]:
+        """Dispatch one tick's due batches: stage -> execute -> complete.
+
+        Every batch is staged by :meth:`_stage` and finished by
+        :meth:`_book` and :meth:`_complete`; only the executor in between
+        differs.  A fusible tick with several batches runs them through
+        one stacked :class:`~repro.backends.FusedFleetForward`
+        (:meth:`_execute_fused`); every other batch runs on its own chip
+        with fault handling and hedging (:meth:`_execute_on_chip`).  Both
+        executors produce bit-identical outputs and telemetry digests.
+        """
+        batches = list(batches)
+        if not batches:
+            return []
+        fused = None
+        if len(batches) > 1 and self._fusible():
+            fused = self._fused_for()
+        if fused is not None:
+            return self._execute_fused(batches, fused)
+        served = []
+        for batch in batches:
+            served.extend(self._execute_on_chip(batch))
+        return served
+
+    def _stage(self, batch: Batch) -> tuple[Batch, FleetChip] | None:
+        """Shed lapsed deadlines, emit ``queue_wait``, and schedule one batch.
+
+        Requests whose deadline already lapsed in the queue are
+        dead-lettered: serving them cannot meet the SLO, and their crossbar
+        time is better spent on requests that can still make it.  Returns
+        ``(live batch, chip)``, or ``None`` when nothing is left to
+        dispatch (every request shed, or no serving chip — then the batch
+        is parked for retry or dead-lettered).
+        """
         obs = self.obs
-        clock = obs.clock
-        # Shed requests whose deadline already lapsed in the queue: serving
-        # them cannot meet the SLO, and their crossbar time is better spent
-        # on requests that can still make it.
         live = []
         for request in batch.requests:
             if request.deadline is not None and request.deadline < self.now:
@@ -830,7 +840,7 @@ class InferenceEngine:
             else:
                 live.append(request)
         if not live:
-            return []
+            return None
         if len(live) != len(batch.requests):
             batch = Batch(live, formed=batch.formed)
         obs.event(
@@ -840,23 +850,36 @@ class InferenceEngine:
             headroom=batch.headroom(),
             tick=self.now,
         )
-        with obs.span("dispatch", tick=self.now, batch=batch.size) as dispatch_span:
-            with obs.span("schedule", policy=self.policy.name) as span:
-                candidates = dispatchable(self.fleet)
-                if not candidates:
-                    span.set(chip=None)
-                    dispatch_span.set(failed="no-capacity")
-                    self._handle_failed_batch(batch, cause="no-capacity")
-                    return []
-                chip = self.policy.choose(batch, candidates)
-                span.set(chip=chip.chip_id)
+        with obs.span("schedule", policy=self.policy.name) as span:
+            candidates = dispatchable(self.fleet)
+            if not candidates:
+                span.set(chip=None, failed="no-capacity")
+                self._handle_failed_batch(batch, cause="no-capacity")
+                return None
+            chip = self.policy.choose(batch, candidates)
+            span.set(chip=chip.chip_id)
+        return batch, chip
+
+    def _execute_on_chip(self, batch: Batch) -> list[ServedRequest]:
+        """Per-chip executor: stage one batch and serve it on its chip.
+
+        A failed attempt hedges once to the least-loaded other chip when
+        ``retry.hedge`` is on; a batch no chip served is parked for retry
+        or dead-lettered.
+        """
+        with self.obs.span("dispatch", tick=self.now, batch=batch.size) as span:
+            staged = self._stage(batch)
+            if staged is None:
+                return []
+            batch, chip = staged
+            span.set(batch=batch.size)
             inputs = batch.inputs()
             outcome = self._attempt(chip, batch, inputs)
             if outcome is None and self.config.retry.hedge:
                 backup = self._hedge_candidate(chip)
                 if backup is not None:
                     self.telemetry.record_hedge(chip.chip_id, backup.chip_id)
-                    obs.event(
+                    self.obs.event(
                         "hedge",
                         primary=chip.chip_id,
                         backup=backup.chip_id,
@@ -866,55 +889,54 @@ class InferenceEngine:
                     if outcome is not None:
                         chip = backup
             if outcome is None:
-                dispatch_span.set(chip=chip.chip_id, failed=self._last_fault_kind)
+                span.set(chip=chip.chip_id, failed=self._last_fault_kind)
                 self._handle_failed_batch(batch, cause=self._last_fault_kind)
                 return []
-            outputs, seconds, energy_uj = outcome
-            dispatch_span.set(chip=chip.chip_id, seconds=seconds, energy_uj=energy_uj)
-        if energy_uj is not None:
-            chip.energy_uj += energy_uj
-        chip.served_samples += batch.size
-        chip.served_batches += 1
-        completed_wall = clock.now()
-        served = []
-        for row, request in enumerate(batch.requests):
-            done = ServedRequest(
-                id=request.id,
-                output=outputs[row],
-                chip_id=chip.chip_id,
-                queue_ticks=batch.formed - request.arrival,
-                deadline=request.deadline,
-                completed_tick=self.now,
-            )
-            if request.deadline is not None:
-                self.telemetry.record_deadline(
-                    self.now, request.deadline - self.now
-                )
-            self._completed[request.id] = done
-            self._attempts.pop(request.id, None)
-            self._first_arrival.pop(request.id, None)
-            submitted_wall = self._submit_walls.pop(request.id, None)
-            if submitted_wall is not None:
-                self.telemetry.record_request_latency(completed_wall - submitted_wall)
-            served.append(done)
-        self.telemetry.record_batch(
-            chip.chip_id,
-            [item.queue_ticks for item in served],
-            seconds,
-            energy_uj=energy_uj,
-        )
-        return served
+            programmed, outputs, seconds = outcome
+            energy_uj = self._book(chip, programmed, inputs)
+            span.set(chip=chip.chip_id, seconds=seconds, energy_uj=energy_uj)
+        return self._complete(batch, chip, outputs, seconds, energy_uj)
 
-    # ------------------------------------------------------------------
-    # Fused cross-chip dispatch
-    # ------------------------------------------------------------------
+    def _attempt(self, chip: FleetChip, batch: Batch, inputs) -> tuple | None:
+        """One forward attempt on one chip: ``(programmed, outputs, seconds)``,
+        or ``None`` when it failed.
+
+        Failures (only :class:`~repro.serve.faults.ChipFault` — anything
+        else is a bug and propagates) are absorbed into telemetry and the
+        health machine; a dead chip is retired (and replaced) on the spot.
+        """
+        clock = self.obs.clock
+        try:
+            with self.obs.span("mapping", chip=chip.chip_id):
+                programmed = self.programmed_for(chip)
+            penalty = 0.0
+            if self.faults is not None:
+                penalty = self.faults.before_forward(chip)
+            started = clock.now()
+            outputs = programmed.forward(inputs)
+            seconds = clock.now() - started + penalty
+        except ChipFault as fault:
+            self._last_fault_kind = fault.kind
+            chip.fault_events += 1
+            self.telemetry.record_fault(fault.kind, chip.chip_id)
+            self.obs.event(
+                "fault", kind=fault.kind, chip=chip.chip_id, tick=self.now,
+                batch=batch.size,
+            )
+            if fault.kind == "dead":
+                self.retire_dead(chip)
+            else:
+                self.health.on_failure(chip, self.now, reason=fault.kind)
+            return None
+        return programmed, outputs, seconds
+
     def _fusible(self) -> bool:
-        """Whether this tick's batches may take the fused path at all.
+        """Whether this tick's batches may take the fused executor at all.
 
         Fault injection perturbs individual dispatch attempts (penalties,
         mid-flight :class:`~repro.serve.faults.ChipFault`) and self-tuning
         is per-chip state the stacked kernels refuse — both route every
-        batch through the per-chip path, which is also what keeps chaos
+        batch through the per-chip executor, which is also what keeps chaos
         runs trivially bit-identical with fusion enabled.
         """
         return (
@@ -964,159 +986,94 @@ class InferenceEngine:
         self._fused_failed_key = None
         return self._fused
 
-    def _dispatch_tick(self, batches) -> list[ServedRequest]:
-        """Dispatch one tick's due batches, fusing them when possible.
+    def _execute_fused(
+        self, batches: list[Batch], fused: FusedFleetForward
+    ) -> list[ServedRequest]:
+        """Fused executor: stage every batch, then run them in one stacked forward.
 
-        The per-chip fallback (``_dispatch`` per batch) and the fused
-        group produce bit-identical outputs and telemetry digests; the
-        fused path just executes the whole group in one stacked forward.
+        Each batch is booked (:meth:`_book`) as soon as it is staged, so
+        load- and energy-aware policies scheduling the next batch see
+        exactly the fleet state a per-chip sequence would show them.  The
+        forward cannot fail on this path (no fault injector), so booking
+        ahead of it is safe.
         """
-        batches = list(batches)
-        if not batches:
-            return []
-        if self._shardable():
-            served = self._dispatch_sharded(batches)
-            if served is not None:
-                return served
-        fused = None
-        if len(batches) > 1 and self._fusible():
-            fused = self._fused_for()
-        if fused is None:
-            served = []
-            for batch in batches:
-                served.extend(self._dispatch(batch))
-            return served
         clock = self.obs.clock
-        served: list[ServedRequest] = []
         with self.obs.span(
             "dispatch.fused", tick=self.now, batches=len(batches)
         ) as span:
-            staged = [
-                item
-                for item in (self._stage(batch) for batch in batches)
-                if item is not None
-            ]
+            staged = []
+            for batch in batches:
+                item = self._stage(batch)
+                if item is None:
+                    continue
+                batch, chip = item
+                with self.obs.span("mapping", chip=chip.chip_id):
+                    programmed = self.programmed_for(chip)
+                inputs = batch.inputs()
+                energy_uj = self._book(chip, programmed, inputs)
+                staged.append((batch, chip, programmed, inputs, energy_uj))
             if not staged:
                 span.set(staged=0)
                 return []
-            programmed = [chip_state for _, _, chip_state, _, _ in staged]
-            if not fused.covers(programmed):
+            members = [programmed for _, _, programmed, _, _ in staged]
+            if not fused.covers(members):
                 # A cold chip was programmed during staging (new object
                 # identity) — rebuild once from the now-warm fleet.
                 fused = self._fused_for()
-            if fused is not None and fused.covers(programmed):
+            if fused is not None and fused.covers(members):
                 started = clock.now()
                 outputs = fused.forward(
-                    [(chip_state, inputs) for _, _, chip_state, inputs, _ in staged]
+                    [(programmed, inputs) for _, _, programmed, inputs, _ in staged]
                 )
                 total_seconds = clock.now() - started
                 self.telemetry.record_fused_group(len(staged))
                 span.set(staged=len(staged), seconds=total_seconds)
+                # Attribute wall time by row share: service-time
+                # histograms are report-only (digest excludes wall).
                 total_rows = sum(batch.size for batch, _, _, _, _ in staged)
-                for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
-                    # Attribute wall time by row share: service-time
-                    # histograms are report-only (digest excludes wall).
-                    seconds = total_seconds * (batch.size / total_rows)
-                    served.extend(
-                        self._complete(batch, chip, out, seconds, energy_uj)
-                    )
+                seconds = [
+                    total_seconds * (batch.size / total_rows)
+                    for batch, _, _, _, _ in staged
+                ]
             else:
-                # Unstackable after staging: finish each staged batch on
-                # its own chip (the assignments are already final).
+                # Unstackable after staging: the assignments are final,
+                # so finish each staged batch on its own chip.
                 self.telemetry.record_fused_fallback(len(staged))
                 span.set(staged=len(staged), fallback=True)
-                for batch, chip, chip_state, inputs, energy_uj in staged:
+                outputs, seconds = [], []
+                for _, _, programmed, inputs, _ in staged:
                     started = clock.now()
-                    out = chip_state.forward(inputs)
-                    seconds = clock.now() - started
-                    served.extend(
-                        self._complete(batch, chip, out, seconds, energy_uj)
-                    )
+                    outputs.append(programmed.forward(inputs))
+                    seconds.append(clock.now() - started)
+            served = []
+            for (batch, chip, _, _, energy_uj), out, batch_seconds in zip(
+                staged, outputs, seconds
+            ):
+                served.extend(
+                    self._complete(batch, chip, out, batch_seconds, energy_uj)
+                )
         return served
 
-    def _stage(self, batch: Batch, realize: bool = True):
-        """The pre-forward half of :meth:`_dispatch`, for the fused path.
+    def _book(self, chip: FleetChip, programmed: ProgrammedChip, inputs) -> float | None:
+        """Charge one served batch to its chip; returns its energy (uJ) or None.
 
-        Sheds lapsed deadlines, schedules, and resolves the mapping —
-        exactly like :meth:`_dispatch` — then advances the chip's served
-        counters *immediately*, so the next batch staged this tick sees
-        the same load state a per-batch dispatch sequence would have
-        produced (load-aware policies make identical choices on both
-        paths).  Returns ``(batch, chip, programmed, inputs, energy_uj)``,
-        or ``None`` when the batch produced no dispatchable work (already
-        dead-lettered or parked for retry, exactly as ``_dispatch`` does).
-
-        ``realize=False`` is the sharded handoff: the forward runs on a
-        worker that owns the programmed chip, so the coordinator skips
-        materializing the mapping (``programmed`` comes back ``None``)
-        and prices the batch through the backend's estimator directly —
-        :meth:`~repro.backends.ProgrammedChip.cost` delegates to the same
-        ``cost_for``, so the booked energy is bit-identical.
+        Marks the dispatch a health success and advances the chip's energy
+        and served counters — the state health-, load- and energy-aware
+        scheduling reads when it places the next batch.
         """
-        obs = self.obs
-        live = []
-        for request in batch.requests:
-            if request.deadline is not None and request.deadline < self.now:
-                self._dead_letter(
-                    request,
-                    "deadline",
-                    "expired-queued",
-                    attempts=self._attempts.get(request.id, 0),
-                )
-            else:
-                live.append(request)
-        if not live:
-            return None
-        if len(live) != len(batch.requests):
-            batch = Batch(live, formed=batch.formed)
-        obs.event(
-            "queue_wait",
-            batch=batch.size,
-            wait_ticks=batch.max_queue_ticks(),
-            headroom=batch.headroom(),
-            tick=self.now,
-        )
-        with obs.span("schedule", policy=self.policy.name) as span:
-            candidates = dispatchable(self.fleet)
-            if not candidates:
-                span.set(chip=None)
-                self._handle_failed_batch(batch, cause="no-capacity")
-                return None
-            chip = self.policy.choose(batch, candidates)
-            span.set(chip=chip.chip_id)
-        programmed = None
-        if realize:
-            with obs.span("mapping", chip=chip.chip_id):
-                programmed = self.programmed_for(chip)
-        inputs = batch.inputs()
-        # Book *all* per-batch chip state now, in dispatch order — load-
-        # and energy-aware policies must see exactly the fleet state a
-        # per-batch dispatch sequence would show the next batch.  The
-        # forward cannot fail on this path (no fault injector), so the
-        # health success mark and the deterministic dispatch cost do not
-        # depend on actually having run it yet.
         self.health.on_success(chip, self.now)
-        if realize:
-            cost = programmed.cost(inputs.shape)
-        else:
-            cost = self.backend.cost_for(self.model, inputs.shape)
+        cost = programmed.cost(inputs.shape)
         energy_uj = cost.energy_uj if cost is not None else None
         if energy_uj is not None:
             chip.energy_uj += energy_uj
-        chip.served_samples += batch.size
+        chip.served_samples += len(inputs)
         chip.served_batches += 1
-        return batch, chip, programmed, inputs, energy_uj
+        return energy_uj
 
     def _complete(
         self, batch: Batch, chip: FleetChip, outputs, seconds, energy_uj
     ) -> list[ServedRequest]:
-        """The post-forward half of :meth:`_dispatch`, for the fused path.
-
-        Books per-request completion and batch telemetry — everything
-        :meth:`_dispatch` does after a successful attempt, *except* the
-        chip-state updates (served counters, energy, health), which
-        :meth:`_stage` already advanced in dispatch order.
-        """
+        """Book per-request completion and the batch's telemetry."""
         completed_wall = self.obs.clock.now()
         served = []
         for row, request in enumerate(batch.requests):
@@ -1145,164 +1102,13 @@ class InferenceEngine:
         )
         return served
 
-    # ------------------------------------------------------------------
-    # Sharded cross-process dispatch (repro.serve.shard)
-    # ------------------------------------------------------------------
-    def _shardable(self) -> bool:
-        """Whether this tick's batches may be offloaded to shard workers.
-
-        Mirrors :meth:`_fusible`'s eligibility: an installed fault
-        injector perturbs individual attempts mid-flight and self-tuning
-        is per-chip state the workers do not replicate — both route every
-        batch through the in-process path, which is also what keeps chaos
-        runs trivially digest-identical under ``--shards``.
-        """
-        return (
-            self.shard_plan is not None
-            and self.faults is None
-            and self.config.self_tuning is None
-        )
-
-    def _bump_shard_epoch(self, chip: FleetChip) -> None:
-        """Advance a chip's programmed-state epoch (workers rebuild their copy)."""
-        self._shard_epochs[chip.chip_id] = self._shard_epochs.get(chip.chip_id, 0) + 1
-
-    def _shard_ref(self, chip: FleetChip) -> ChipStateRef:
-        """Snapshot everything a worker needs to realize this chip bit-exactly.
-
-        Reads the descriptor when the chip was never realized (so shipping
-        a cold chip does not force realization on the coordinator) and the
-        live variation otherwise — drift moves only ``eps_between``, and
-        programmed state is a pure function of ``(eps_between,
-        sigma_within, seed, sticky faults)`` on both backends.
-        """
-        if chip.realized:
-            variation = chip.variation
-            eps = float(variation.eps_between)
-            sigma = float(variation.sigma_within)
-            seed = int(variation._seed)
-        else:
-            descriptor = chip.descriptor
-            eps = descriptor.eps_between
-            sigma = descriptor.sigma_within
-            seed = descriptor.seed
-        return ChipStateRef(
-            chip_id=chip.chip_id,
-            eps_between=eps,
-            sigma_within=sigma,
-            seed=seed,
-            spec=self.spec_for(chip),
-            sticky=self._sticky_faults.get(chip.chip_id),
-            epoch=self._shard_epochs.get(chip.chip_id, 0),
-        )
-
-    def _shard_pool_for(self) -> ShardPool | None:
-        """The lazily-started worker pool, or ``None`` when forking is
-        unavailable on this platform (sharding then falls back to the
-        in-process path for the whole run)."""
-        if self._shard_pool is None:
-            if not ShardPool.available():
-                self.obs.event("shard.unavailable", shards=self.shard_plan.shards)
-                self.shard_plan = None
-                return None
-            self._shard_pool = ShardPool(self.shard_plan, self.model, self.backend)
-        return self._shard_pool
-
-    def _dispatch_sharded(self, batches) -> list[ServedRequest] | None:
-        """Dispatch one tick's due batches across the shard workers.
-
-        The coordinator stages every batch in exact dispatch order (same
-        scheduling, SLO shedding, counters, and energy accounting as the
-        in-process paths — all digest-relevant state is booked here), the
-        workers run the forwards against their own programmed copies, and
-        completion runs in the original staged order, so outputs and the
-        telemetry digest are bit-identical to serial execution.  Worker
-        telemetry deltas (program counts, wall seconds) merge in canonical
-        shard order and stay report-only.  Returns ``None`` when the pool
-        cannot start, handing the tick back to the in-process paths.
-        """
-        pool = self._shard_pool_for()
-        if pool is None:
-            return None
-        clock = self.obs.clock
-        served: list[ServedRequest] = []
-        with self.obs.span(
-            "dispatch.sharded", tick=self.now, batches=len(batches)
-        ) as span:
-            staged = [
-                item
-                for item in (self._stage(batch, realize=False) for batch in batches)
-                if item is not None
-            ]
-            if not staged:
-                span.set(staged=0)
-                return served
-            work = [
-                (self.shard_plan.shard_of(chip.index), self._shard_ref(chip), inputs)
-                for _, chip, _, inputs, _ in staged
-            ]
-            started = clock.now()
-            outputs, deltas = pool.run_tick(work)
-            total_seconds = clock.now() - started
-            self.telemetry.record_shard_group(
-                len(staged), len({shard for shard, _, _ in work})
-            )
-            for shard, delta in deltas:
-                self.telemetry.record_shard_delta(shard, delta)
-            span.set(staged=len(staged), seconds=total_seconds, shards=len(deltas))
-            total_rows = sum(batch.size for batch, _, _, _, _ in staged)
-            for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
-                # Attribute wall time by row share, exactly like the fused
-                # path: service-time histograms are report-only.
-                seconds = total_seconds * (batch.size / total_rows)
-                served.extend(self._complete(batch, chip, out, seconds, energy_uj))
-        return served
-
     def close(self) -> None:
-        """Release external resources (shard worker processes); idempotent.
+        """No-op, kept for callers that still close their engine.
 
-        Serial engines hold none, so calling this is always safe — but
-        every sharded engine should be closed (the CLI and tests do) so
-        worker processes exit promptly rather than at interpreter teardown.
+        The engine holds no processes or files (sharded dispatch, whose
+        worker processes this released, was removed).  The perfbench
+        serving workload still calls it after every run.
         """
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
-
-    def _attempt(self, chip: FleetChip, batch: Batch, inputs) -> tuple | None:
-        """One dispatch attempt on one chip; ``None`` means it failed.
-
-        Failures (only :class:`~repro.serve.faults.ChipFault` — anything
-        else is a bug and propagates) are absorbed into telemetry and the
-        health machine; a dead chip is retired (and replaced) on the spot.
-        """
-        clock = self.obs.clock
-        try:
-            with self.obs.span("mapping", chip=chip.chip_id):
-                programmed = self.programmed_for(chip)
-            penalty = 0.0
-            if self.faults is not None:
-                penalty = self.faults.before_forward(chip)
-            started = clock.now()
-            outputs = programmed.forward(inputs)
-            seconds = clock.now() - started + penalty
-        except ChipFault as fault:
-            self._last_fault_kind = fault.kind
-            chip.fault_events += 1
-            self.telemetry.record_fault(fault.kind, chip.chip_id)
-            self.obs.event(
-                "fault", kind=fault.kind, chip=chip.chip_id, tick=self.now,
-                batch=batch.size,
-            )
-            if fault.kind == "dead":
-                self.retire_dead(chip)
-            else:
-                self.health.on_failure(chip, self.now, reason=fault.kind)
-            return None
-        self.health.on_success(chip, self.now)
-        cost = programmed.cost(inputs.shape)
-        energy_uj = cost.energy_uj if cost is not None else None
-        return outputs, seconds, energy_uj
 
     def _hedge_candidate(self, primary: FleetChip) -> FleetChip | None:
         """The backup chip a failed dispatch hedges to (least-loaded other)."""

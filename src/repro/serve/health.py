@@ -36,7 +36,8 @@ is :func:`repro.serve.scheduler.dispatchable`.
 Like the scheduling policies, the monitor reads and writes only the
 bookkeeping fields of a :class:`~repro.serve.engine.FleetChip` handle
 (``health``, counters) — never ``variation`` — so health tracking on a
-lazy thousand-chip fleet (:mod:`repro.serve.shard`) never forces chip
+lazy thousand-chip fleet (seed-addressed
+:class:`~repro.serve.engine.ChipDescriptor` chips) never forces chip
 realization.
 """
 

@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             _engine(model).run(dataset.images[:3], ids=["a", "a", "b"])
 
+    def test_nonzero_shards_is_rejected(self, served_model):
+        model, _ = served_model
+        with pytest.raises(ValueError, match="sharded dispatch was removed"):
+            _engine(model, shards=2)
+        _engine(model, shards=0).close()  # the default still constructs
+
     def test_mismatched_ids_rejected(self, served_model):
         model, dataset = served_model
         with pytest.raises(ValueError, match="mismatch"):
@@ -219,7 +225,7 @@ class TestSelfTuningAndProbe:
             model, self_tuning=SelfTuningConfig(kind="global", gtm_cells=100)
         )
         engine.run(dataset.images[:8])
-        mapping = engine._mapping_for(engine.fleet[0])
+        mapping = engine.programmed_for(engine.fleet[0]).mapping
         for _, layer in quantized_layers(mapping):
             assert layer.self_tuner is not None
         for _, layer in quantized_layers(model):
