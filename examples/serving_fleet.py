@@ -101,7 +101,7 @@ def main() -> None:
         model,
         deploy_spec,
         num_chips=NUM_CHIPS,
-        config=ServeConfig(max_batch=16, max_wait=1, cache_capacity=2, seed=7),
+        config=ServeConfig(max_batch=16, max_wait=1, max_resident_chips=2, seed=7),
     )
     engine.run(workload, ids=ids)
     stats = engine.cache.stats

@@ -11,8 +11,6 @@ Examples::
         --sigma 0.5 --scenario within
     python -m repro.experiments serve-bench --model lenet5 --num-chips 4 \\
         --max-batch 32 --policy least-loaded --skip-training
-    python -m repro.experiments serve-bench --drift --policy accuracy-weighted \\
-        --fleet rram:2,flash:2 --trace bursty --skip-training
     python -m repro.experiments serve-bench --backend circuit --num-chips 2 \\
         --requests 48 --skip-training
     python -m repro.experiments serve-bench --chaos --num-chips 16 \\
@@ -26,21 +24,21 @@ Examples::
 ``compare`` runs QAVAT vs QAT vs PTQ-VAT on one configuration (one column
 of Table I); ``serve-bench`` drives a simulated chip fleet through the
 :mod:`repro.serve` engine and reports batched-vs-sequential throughput —
-with ``--drift`` the fleet ages under a drift process and the chosen
-policy is raced against round-robin on end-of-trace accuracy, and with
-``--chaos`` a deterministic fault schedule (chip deaths, stuck-at maps,
+with ``--chaos`` a deterministic fault schedule (chip deaths, stuck-at maps,
 transient errors) hits the fleet mid-trace and the bench reports goodput
 under faults plus a bit-reproducibility check, and with ``--slo`` every
 request carries a deadline and policies race on SLO attainment under a
 reproducibility + violation-ceiling gate;
-``lifetime-bench`` runs the full lifecycle story (drift, probes,
-recalibrations) across several policies and prints the drift/recovery
-curves.  Results are also appended as JSON under ``--results-dir``.
+``lifetime-bench`` ages a fleet under a drift process (probes,
+recalibrations), races several policies over it on end-of-trace
+accuracy, and prints the drift/recovery curves.  Results are also
+appended as JSON under ``--results-dir``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import time
 
 import numpy as np
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="accuracy floor for the parametric-yield summary",
         )
 
-    def add_serving_args(sub, default_policy: str) -> None:
+    def add_serving_args(sub) -> None:
         sub.add_argument("--model", choices=sorted(WORKLOADS), default="lenet5")
         sub.add_argument("--notation", default="A4W2", help="AxWy bit widths")
         sub.add_argument("--sigma", type=float, default=0.3, help="sigma_tot")
@@ -178,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="batched cross-chip dispatch (bit-identical to per-chip "
             "dispatch; --no-fused is a debugging/parity aid)",
         )
-        sub.add_argument(
-            "--policy", choices=sorted(SERVE_POLICIES), default=default_policy
-        )
         sub.add_argument("--max-batch", type=_positive_int, default=32)
         sub.add_argument(
             "--max-wait", type=_nonnegative_int, default=4,
@@ -188,18 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--requests", type=_positive_int, default=256)
         sub.add_argument(
-            "--cache-capacity",
-            type=_positive_int,
-            default=None,
-            help="resident mappings bound (default: the whole fleet)",
-        )
-        sub.add_argument(
             "--max-resident-chips",
             type=_positive_int,
             default=None,
             metavar="N",
-            help="LRU spill bound on realized chips (lazy fleets re-realize "
-            "evicted chips deterministically from their seeds; default: unbounded)",
+            help="LRU bound on resident chip mappings; evicted chips spill their "
+            "realized variation and re-realize deterministically from their "
+            "seeds (default: the whole fleet stays resident)",
         )
         sub.add_argument(
             "--probe-k", type=_positive_int, default=1, help="top-k of the quality probe"
@@ -219,23 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--trace-rate", type=float, default=8.0, help="mean arrivals per tick"
         )
-        sub.add_argument(
-            "--drift-kind", choices=("aging", "temperature"), default="aging"
-        )
-        sub.add_argument(
-            "--drift-nu", type=float, default=0.1, help="aging drift coefficient"
-        )
-        sub.add_argument(
-            "--probe-every", type=float, default=8.0,
-            help="virtual time between quality probes",
-        )
-        sub.add_argument(
-            "--accuracy-floor", type=float, default=0.85,
-            help="recalibrate when quality falls below floor x t=0 quality",
-        )
-        sub.add_argument(
-            "--dt", type=float, default=1.0, help="virtual drift time per tick"
-        )
         sub.add_argument("--results-dir", default="results")
         sub.add_argument(
             "--bench-json",
@@ -249,15 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench",
         help="benchmark batched fleet serving against sequential inference",
     )
-    add_serving_args(serve, default_policy="round-robin")
+    add_serving_args(serve)
     serve.add_argument(
-        "--drift",
-        action="store_true",
-        help="age the fleet while it serves; race --policy against round-robin "
-        "on end-of-trace accuracy (implies --fleet rram:2,flash:2 and "
-        "--trace uniform unless given)",
+        "--policy", choices=sorted(SERVE_POLICIES), default="round-robin"
     )
-    serve.add_argument(
+    modes = serve.add_mutually_exclusive_group()
+    modes.add_argument(
         "--chaos",
         action="store_true",
         help="inject a deterministic fault schedule (chip deaths, stuck-at "
@@ -293,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero when served/(served+dead-lettered) falls below "
         "this fraction (--chaos)",
     )
-    serve.add_argument(
+    modes.add_argument(
         "--slo",
         action="store_true",
         help="deadline-bearing workload: every request carries an "
@@ -316,13 +286,30 @@ def build_parser() -> argparse.ArgumentParser:
         "lifetime-bench",
         help="drift/probe/recalibrate lifecycle across scheduling policies",
     )
-    add_serving_args(lifetime, default_policy="drift-aware")
+    add_serving_args(lifetime)
     lifetime.add_argument(
         "--policies",
         nargs="+",
         choices=sorted(SERVE_POLICIES),
         default=["round-robin", "accuracy-weighted", "drift-aware"],
         help="policies to race over the same drifting fleet",
+    )
+    lifetime.add_argument(
+        "--drift-kind", choices=("aging", "temperature"), default="aging"
+    )
+    lifetime.add_argument(
+        "--drift-nu", type=float, default=0.1, help="aging drift coefficient"
+    )
+    lifetime.add_argument(
+        "--probe-every", type=float, default=8.0,
+        help="virtual time between quality probes",
+    )
+    lifetime.add_argument(
+        "--accuracy-floor", type=float, default=0.85,
+        help="recalibrate when quality falls below floor x t=0 quality",
+    )
+    lifetime.add_argument(
+        "--dt", type=float, default=1.0, help="virtual drift time per tick"
     )
     return parser
 
@@ -345,7 +332,7 @@ def _specs(args) -> tuple[VariabilitySpec, VariabilitySpec]:
 def _self_tuning(args) -> SelfTuningConfig | None:
     if args.self_tuning == "none":
         return None
-    if getattr(args, "backend", "fake-quant") == "circuit":
+    if args.backend == "circuit":
         raise SystemExit(
             "error: --self-tuning is not available on --backend circuit yet "
             "(the circuit backend has no GTM/LTM columns); "
@@ -381,7 +368,7 @@ def _record(result, args, method: str) -> dict:
         "variance_model": args.variance_model,
         "scale": args.scale,
         "self_tuning": args.self_tuning,
-        "backend": getattr(args, "backend", "fake-quant"),
+        "backend": args.backend,
         "clean_accuracy": result.clean_accuracy,
         "summary": summary,
         "accuracies": result.robustness.accuracies,
@@ -544,88 +531,132 @@ def _cli_trace(args, default: str = "uniform"):
     )
 
 
-def _lifecycle_config(args):
-    from repro.serve import LifecycleConfig
+def _session(
+    args, model, test, eval_spec, trace, *, lifecycle=False, faults=None,
+    **config_overrides,
+) -> dict:
+    """One serving session, the only place the CLI builds an engine.
 
-    return LifecycleConfig(
-        drift=args.drift_kind,
-        nu=args.drift_nu,
-        dt=args.dt,
-        probe_every=args.probe_every,
-        probe_k=args.probe_k,
-        accuracy_floor=args.accuracy_floor,
-        seed=args.seed,
+    ``config_overrides`` replace single :class:`~repro.serve.ServeConfig`
+    fields of the serving flags (the ``policy``, the sequential baseline's
+    ``max_batch=1``, the SLO bench's ``continuous``).  Outside the timed
+    region the fleet is either programmed (``warm_up``), probed as well
+    when the policy reads chip quality, or — with ``lifecycle`` — wrapped
+    in a drifting :class:`~repro.serve.ChipLifecycle`, whose install
+    probes every chip for its t=0 baseline.  ``faults`` (a
+    :class:`~repro.serve.FaultPlan`) is installed last.  The requests are
+    then served under ``trace`` (all at tick 0 when None) and timed.
+
+    Sessions share every seed, so the fleet, the drift paths and the
+    fault schedule are identical across calls; raced policies differ only
+    in dispatch.
+    """
+    from repro.serve import (
+        ChipLifecycle, FaultInjector, InferenceEngine, LifecycleConfig, ServeConfig,
     )
 
-
-def _serve_config(args, **overrides):
-    """The :class:`~repro.serve.ServeConfig` the serving flags describe.
-
-    ``overrides`` replace individual fields (a raced ``policy``, the
-    sequential baseline's ``max_batch=1``, the gateway's ``continuous``).
-    """
-    from repro.serve import ServeConfig
-
-    fields = dict(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=args.policy,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        fused=args.fused,
-        max_resident_chips=args.max_resident_chips,
-    )
-    fields.update(overrides)
-    return ServeConfig(**fields)
-
-
-def _serving_workload(args, test):
-    reps = 1 + (args.requests - 1) // len(test)
-    workload = np.concatenate([test.images] * reps)[: args.requests]
-    labels = np.concatenate([test.labels] * reps)[: args.requests]
-    ids = [f"r{i:06d}" for i in range(args.requests)]
-    return workload, labels, ids
-
-
-def _drift_serving_run(model, test, eval_spec, args, policy: str) -> dict:
-    """One drifting serving session under ``policy``; returns run artifacts.
-
-    Every run shares the engine/lifecycle seeds, so the fleet, the drift
-    paths, and the probe/recalibration schedule are identical across
-    policies — only dispatch (and therefore served accuracy) differs.
-    """
-    from repro.serve import ChipLifecycle, InferenceEngine, ReplayTrace
-
+    config = ServeConfig(**{
+        "max_batch": args.max_batch,
+        "max_wait": args.max_wait,
+        "seed": args.seed,
+        "self_tuning": _self_tuning(args),
+        "backend": args.backend,
+        "fused": args.fused,
+        "max_resident_chips": args.max_resident_chips,
+        **config_overrides,
+    })
     engine = InferenceEngine(
-        model, eval_spec, args.num_chips, _serve_config(args, policy=policy),
-        fleet_spec=_fleet_spec(args, require=True),
+        model, eval_spec, args.num_chips, config,
+        fleet_spec=_fleet_spec(args, require=lifecycle),
     )
-    lifecycle = ChipLifecycle(engine, test, _lifecycle_config(args))
-    lifecycle.install()
-    workload, labels, ids = _serving_workload(args, test)
-    # Freeze the arrival schedule into a replay trace: the lifetime bench
-    # is defined over a pinned request timeline, so every policy (and
-    # every rerun) replays the exact same arrivals.
-    trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
+    drift = None
+    if lifecycle:
+        drift = ChipLifecycle(engine, test, LifecycleConfig(
+            drift=args.drift_kind, nu=args.drift_nu, dt=args.dt,
+            probe_every=args.probe_every, probe_k=args.probe_k,
+            accuracy_floor=args.accuracy_floor, seed=args.seed,
+        ))
+        drift.install()
+    else:
+        engine.warm_up()
+        if engine.policy.needs_quality:
+            engine.probe_fleet(test, k=args.probe_k)
+    if faults is not None:
+        FaultInjector(engine, faults).install()
+    # The test set, repeated to --requests.
+    picks = np.arange(args.requests) % len(test)
+    workload, labels = test.images[picks], test.labels[picks]
+    ids = [f"r{i:06d}" for i in range(args.requests)]
     started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
+    if trace is None:
+        outputs = engine.run(workload, ids=ids)
+    else:
+        outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=drift)
     seconds = time.perf_counter() - started
-    logits = np.stack([outputs[rid] for rid in ids])
-    correct = logits.argmax(axis=1) == labels
+    served = [rid for rid in ids if rid in outputs]
+    correct = np.array([
+        outputs[rid].argmax() == label for rid, label in zip(ids, labels) if rid in outputs
+    ])
     # "End of trace" = the second half of the request stream: long enough to
     # span several batches and probe rounds, late enough that drift has bitten.
     tail = max(1, args.requests // 2)
     return {
-        "policy": policy,
+        "policy": engine.policy.name,
         "engine": engine,
-        "lifecycle": lifecycle,
-        "accuracy": float(correct.mean()),
-        "end_accuracy": float(correct[-tail:].mean()),
-        "recalibrations": len(lifecycle.events),
+        "outputs": outputs,
+        "served": served,
+        "accuracy": float(correct.mean()) if served else 0.0,
+        "end_accuracy": float(correct[-tail:].mean()) if served else 0.0,
+        "recalibrations": len(drift.events) if drift is not None else 0,
         "seconds": seconds,
     }
+
+
+def _fault_plan(args, **overrides):
+    """The :class:`~repro.serve.FaultPlan` the fault flags describe."""
+    from repro.serve import FaultPlan
+
+    return FaultPlan(**{
+        "transient_rate": args.transient_rate,
+        "latency_rate": args.latency_rate,
+        "deaths": args.deaths,
+        "stuck_chips": args.stuck_chips,
+        "horizon": args.fault_horizon,
+        "seed": args.fault_seed,
+        **overrides,
+    })
+
+
+def _output_digest(outputs: dict) -> str:
+    """SHA-256 over every served request id and its output bytes, in id order.
+
+    The telemetry digest hashes accounting only; this one sees the logits,
+    so two runs that served the same requests with different outputs (say,
+    ``--backend fake-quant`` against ``--backend circuit``) differ here.
+    """
+    digest = hashlib.sha256()
+    for rid in sorted(outputs):
+        digest.update(rid.encode())
+        digest.update(np.ascontiguousarray(outputs[rid]).tobytes())
+    return digest.hexdigest()
+
+
+def _reproducible(first: dict, second: dict) -> bool:
+    """Whether two sessions of one seeded scenario told the same story.
+
+    Compares the fault schedule, the deterministic accounting (telemetry
+    digest plus the raw SLO series), the dead-letter set, and every served
+    id and logit row, bit for bit.
+    """
+    one, two = first["engine"], second["engine"]
+    return (
+        getattr(one.faults, "schedule", None) == getattr(two.faults, "schedule", None)
+        and one.telemetry.digest() == two.telemetry.digest()
+        and one.telemetry.slo_series == two.telemetry.slo_series
+        and set(one.dead_letters) == set(two.dead_letters)
+        and first["served"] == second["served"]
+        and _output_digest(first["outputs"]) == _output_digest(second["outputs"])
+    )
 
 
 def _print_quality_timeline(engine, max_chips: int = 16) -> None:
@@ -679,35 +710,6 @@ def _print_quality_timeline(engine, max_chips: int = 16) -> None:
         ))
 
 
-def _drift_record(args, runs: list[dict]) -> dict:
-    return {
-        "model": args.model,
-        "notation": args.notation,
-        "backend": args.backend,
-        "fleet": args.fleet or "rram:2,flash:2",
-        "trace": args.trace or "uniform",
-        "trace_rate": args.trace_rate,
-        "drift_kind": args.drift_kind,
-        "drift_nu": args.drift_nu,
-        "probe_every": args.probe_every,
-        "accuracy_floor": args.accuracy_floor,
-        "requests": args.requests,
-        "seed": args.seed,
-        "policies": [
-            {
-                "policy": run["policy"],
-                "accuracy": run["accuracy"],
-                "end_accuracy": run["end_accuracy"],
-                "recalibrations": run["recalibrations"],
-                "seconds": run["seconds"],
-                "telemetry": run["engine"].telemetry.report(),
-                "cache": run["engine"].cache.stats.as_dict(),
-            }
-            for run in runs
-        ],
-    }
-
-
 def _print_span_breakdown(engine, title: str = "per-stage span breakdown") -> None:
     """Where serving wall time went, stage by stage (tracing spans)."""
     breakdown = engine.obs.recorder.breakdown()
@@ -753,8 +755,8 @@ def _bench_scale(args, engine) -> dict:
         "requests": args.requests,
         "trace": args.trace,
         "seed": args.seed,
-        "fused": bool(getattr(args, "fused", True)),
-        "max_resident_chips": getattr(args, "max_resident_chips", None),
+        "fused": args.fused,
+        "max_resident_chips": args.max_resident_chips,
         **engine.policy.describe(),
     }
 
@@ -772,62 +774,16 @@ def _record_bench(args, bench: str, metrics: dict, scale: dict) -> None:
     )
 
 
-def _cmd_serve_bench_drift(args) -> int:
-    model, test, eval_spec = _serve_model(args)
-    policies = list(dict.fromkeys([args.policy, "drift-aware", "round-robin"]))
-    runs = [_drift_serving_run(model, test, eval_spec, args, p) for p in policies]
-    rows = [
-        [run["policy"], f"{100 * run['accuracy']:.1f}",
-         f"{100 * run['end_accuracy']:.1f}", run["recalibrations"],
-         f"{run['engine'].telemetry.queue_ticks.max:.0f}",
-         f"{run['engine'].telemetry.total_energy_uj:.1f}",
-         f"{args.requests / run['seconds']:.1f}"]
-        for run in runs
-    ]
-    print(
-        format_table(
-            ["policy", "accuracy %", "end-of-trace %", "recals", "queue max",
-             "energy uJ", "req/s"],
-            rows,
-            title=(
-                f"serve-bench --drift {args.model}/{args.notation} "
-                f"backend={args.backend} fleet={args.fleet or 'rram:2,flash:2'} "
-                f"trace={args.trace or 'uniform'} nu={args.drift_nu}"
-            ),
-        )
-    )
-    print()
-    _print_quality_timeline(runs[0]["engine"])
-    print(f"\nmapping cache: {runs[0]['engine'].cache.stats.as_dict()}")
-    baseline = next(run for run in runs if run["policy"] == "round-robin")
-    for run in runs:
-        if run is baseline:
-            continue
-        lead = run["end_accuracy"] - baseline["end_accuracy"]
-        print(
-            f"{run['policy']} vs round-robin end-of-trace accuracy: "
-            f"{100 * run['end_accuracy']:.1f}% vs "
-            f"{100 * baseline['end_accuracy']:.1f}% ({100 * lead:+.1f} pts)"
-        )
-    store = ResultStore(args.results_dir)
-    path = store.save(f"serve-bench-drift-{args.model}", _drift_record(args, runs))
-    print(f"\nsaved: {path}")
-    primary = runs[0]
-    _record_bench(
-        args, "serving",
-        {
-            **_bench_metrics(primary["engine"], primary["seconds"]),
-            "end_accuracy": primary["end_accuracy"],
-        },
-        _bench_scale(args, primary["engine"]),
-    )
-    return 0
-
-
 def _cmd_lifetime_bench(args) -> int:
+    from repro.serve import ReplayTrace
+
     model, test, eval_spec = _serve_model(args)
+    # Freeze the arrival schedule into a replay trace: the lifetime bench
+    # is defined over a pinned request timeline, so every policy (and
+    # every rerun) replays the exact same arrivals.
+    trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
     runs = [
-        _drift_serving_run(model, test, eval_spec, args, policy)
+        _session(args, model, test, eval_spec, trace, lifecycle=True, policy=policy)
         for policy in args.policies
     ]
     rows = [
@@ -852,11 +808,50 @@ def _cmd_lifetime_bench(args) -> int:
     )
     print()
     _print_quality_timeline(runs[0]["engine"])
+    print()
+    baseline = next((run for run in runs if run["policy"] == "round-robin"), None)
+    for run in runs:
+        if baseline is None or run is baseline:
+            continue
+        lead = run["end_accuracy"] - baseline["end_accuracy"]
+        print(
+            f"{run['policy']} vs round-robin end-of-trace accuracy: "
+            f"{100 * run['end_accuracy']:.1f}% vs "
+            f"{100 * baseline['end_accuracy']:.1f}% ({100 * lead:+.1f} pts)"
+        )
     best = max(runs, key=lambda run: run["end_accuracy"])
-    print(f"\nbest end-of-trace policy: {best['policy']} "
+    print(f"best end-of-trace policy: {best['policy']} "
           f"({100 * best['end_accuracy']:.1f}%)")
     store = ResultStore(args.results_dir)
-    path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))
+    path = store.save(
+        f"lifetime-bench-{args.model}",
+        {
+            "model": args.model,
+            "notation": args.notation,
+            "backend": args.backend,
+            "fleet": args.fleet or "rram:2,flash:2",
+            "trace": args.trace or "uniform",
+            "trace_rate": args.trace_rate,
+            "drift_kind": args.drift_kind,
+            "drift_nu": args.drift_nu,
+            "probe_every": args.probe_every,
+            "accuracy_floor": args.accuracy_floor,
+            "requests": args.requests,
+            "seed": args.seed,
+            "policies": [
+                {
+                    "policy": run["policy"],
+                    "accuracy": run["accuracy"],
+                    "end_accuracy": run["end_accuracy"],
+                    "recalibrations": run["recalibrations"],
+                    "seconds": run["seconds"],
+                    "telemetry": run["engine"].telemetry.report(),
+                    "cache": run["engine"].cache.stats.as_dict(),
+                }
+                for run in runs
+            ],
+        },
+    )
     print(f"saved: {path}")
     _record_bench(
         args, "lifetime",
@@ -869,46 +864,6 @@ def _cmd_lifetime_bench(args) -> int:
         _bench_scale(args, best["engine"]),
     )
     return 0
-
-
-def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
-    """One chaos serving session; returns everything determinism compares."""
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine
-
-    engine = InferenceEngine(
-        model, eval_spec, args.num_chips, _serve_config(args),
-        fleet_spec=_fleet_spec(args),
-    )
-    engine.warm_up()
-    plan = FaultPlan(
-        transient_rate=args.transient_rate,
-        latency_rate=args.latency_rate,
-        deaths=args.deaths,
-        stuck_chips=args.stuck_chips,
-        horizon=args.fault_horizon,
-        seed=args.fault_seed,
-    )
-    injector = FaultInjector(engine, plan)
-    injector.install()
-    workload, labels, ids = _serving_workload(args, test)
-    started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids)
-    seconds = time.perf_counter() - started
-    served = [rid for rid in ids if rid in outputs]
-    correct = sum(
-        int(outputs[rid].argmax() == label)
-        for rid, label in zip(ids, labels)
-        if rid in outputs
-    )
-    return {
-        "engine": engine,
-        "injector": injector,
-        "outputs": outputs,
-        "ids": ids,
-        "served": served,
-        "accuracy": correct / len(served) if served else 0.0,
-        "seconds": seconds,
-    }
 
 
 def _cmd_serve_bench_chaos(args) -> int:
@@ -926,22 +881,14 @@ def _cmd_serve_bench_chaos(args) -> int:
     # Pin the arrival schedule so both runs (and any rerun of this command)
     # replay the identical trace regardless of trace-internal RNG state.
     trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
-    first = _chaos_serving_run(model, test, eval_spec, args, trace)
-    second = _chaos_serving_run(model, test, eval_spec, args, trace)
-
-    engine, injector, ids = first["engine"], first["injector"], first["ids"]
-    telemetry = engine.telemetry
-    reproducible = (
-        injector.schedule == second["injector"].schedule
-        and telemetry.retries == second["engine"].telemetry.retries
-        and telemetry.hedges == second["engine"].telemetry.hedges
-        and set(engine.dead_letters) == set(second["engine"].dead_letters)
-        and first["served"] == second["served"]
-        and all(
-            np.array_equal(first["outputs"][rid], second["outputs"][rid])
-            for rid in first["served"]
-        )
+    plan = _fault_plan(args)
+    first, second = (
+        _session(args, model, test, eval_spec, trace, faults=plan, policy=args.policy)
+        for _ in range(2)
     )
+    reproducible = _reproducible(first, second)
+    engine = first["engine"]
+    injector, telemetry = engine.faults, engine.telemetry
     goodput = telemetry.goodput
     health_counts: dict[str, int] = {}
     for chip in engine.fleet:
@@ -1052,62 +999,6 @@ def _cmd_serve_bench_chaos(args) -> int:
     return 0
 
 
-def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
-    """One deadline-bearing serving session under ``policy``.
-
-    The engine runs in continuous-batching mode (the gateway's admission
-    mode) with every request carrying an ``arrival + --slo-ticks``
-    deadline; per-dispatch transient/latency hazards (``--transient-rate``
-    / ``--latency-rate``) supply the retry-parking pressure that makes
-    deadlines losable at all — scheduled deaths/stuck-at events stay with
-    ``--chaos``.
-    """
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine
-
-    engine = InferenceEngine(
-        model, eval_spec, args.num_chips,
-        _serve_config(args, policy=policy, continuous=True),
-        fleet_spec=_fleet_spec(args),
-    )
-    engine.warm_up()
-    if policy in ("accuracy-weighted", "drift-aware", "energy-aware", "latency-aware"):
-        engine.probe_fleet(test, k=args.probe_k)
-    if args.transient_rate > 0.0 or args.latency_rate > 0.0:
-        plan = FaultPlan(
-            transient_rate=args.transient_rate,
-            latency_rate=args.latency_rate,
-            deaths=0,
-            stuck_chips=0,
-            seed=args.fault_seed,
-        )
-        FaultInjector(engine, plan).install()
-    workload, labels, ids = _serving_workload(args, test)
-    started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids)
-    seconds = time.perf_counter() - started
-    served = [rid for rid in ids if rid in outputs]
-    correct = sum(
-        int(outputs[rid].argmax() == label)
-        for rid, label in zip(ids, labels)
-        if rid in outputs
-    )
-    telemetry = engine.telemetry
-    finished = telemetry.slo_met + telemetry.slo_violations
-    return {
-        "policy": policy,
-        "engine": engine,
-        "outputs": outputs,
-        "ids": ids,
-        "served": served,
-        "accuracy": correct / len(served) if served else 0.0,
-        "attainment": telemetry.slo_attainment,
-        "violation_fraction": (
-            telemetry.slo_violations / finished if finished else 0.0
-        ),
-        "seconds": seconds,
-    }
-
-
 def _cmd_serve_bench_slo(args) -> int:
     """Deadline/SLO bench: goodput race plus a reproducibility gate.
 
@@ -1119,6 +1010,12 @@ def _cmd_serve_bench_slo(args) -> int:
     served set, logits, deadline outcomes, dead letters — must be
     bit-identical.  Divergence, or a violation fraction above
     ``--slo-ceiling``, is a non-zero exit.
+
+    The engine runs in continuous-batching mode (the gateway's admission
+    mode).  Per-dispatch transient/latency hazards (``--transient-rate``
+    / ``--latency-rate``) supply the retry-parking pressure that makes
+    deadlines losable at all; scheduled deaths/stuck-at events stay with
+    ``--chaos``.
     """
     from repro.serve import DeadlineTrace, ReplayTrace
 
@@ -1126,25 +1023,29 @@ def _cmd_serve_bench_slo(args) -> int:
     trace = ReplayTrace.from_trace(
         DeadlineTrace(_cli_trace(args), slo_ticks=args.slo_ticks), args.requests
     )
-    policies = list(dict.fromkeys([args.policy, "latency-aware", "round-robin"]))
-    runs = [
-        _slo_serving_run(model, test, eval_spec, args, trace, policy)
-        for policy in policies
-    ]
-    best = max(runs, key=lambda run: (run["attainment"], run["policy"] == args.policy))
-    rerun = _slo_serving_run(model, test, eval_spec, args, trace, best["policy"])
-    best_t, rerun_t = best["engine"].telemetry, rerun["engine"].telemetry
-    reproducible = (
-        best["served"] == rerun["served"]
-        and best_t.slo_met == rerun_t.slo_met
-        and best_t.slo_violations == rerun_t.slo_violations
-        and best_t.slo_series == rerun_t.slo_series
-        and set(best["engine"].dead_letters) == set(rerun["engine"].dead_letters)
-        and all(
-            np.array_equal(best["outputs"][rid], rerun["outputs"][rid])
-            for rid in best["served"]
+    plan = None
+    if args.transient_rate > 0.0 or args.latency_rate > 0.0:
+        plan = _fault_plan(args, deaths=0, stuck_chips=0)
+
+    def race(policy: str) -> dict:
+        run = _session(
+            args, model, test, eval_spec, trace, faults=plan,
+            policy=policy, continuous=True,
         )
-    )
+        telemetry = run["engine"].telemetry
+        finished = telemetry.slo_met + telemetry.slo_violations
+        run["attainment"] = telemetry.slo_attainment
+        run["violation_fraction"] = (
+            telemetry.slo_violations / finished if finished else 0.0
+        )
+        return run
+
+    policies = list(dict.fromkeys([args.policy, "latency-aware", "round-robin"]))
+    runs = [race(policy) for policy in policies]
+    best = max(runs, key=lambda run: (run["attainment"], run["policy"] == args.policy))
+    rerun = race(best["policy"])
+    reproducible = _reproducible(best, rerun)
+    best_t = best["engine"].telemetry
     rows = [
         [run["policy"], len(run["served"]),
          len(run["engine"].dead_letters),
@@ -1247,42 +1148,23 @@ def _cmd_serve_bench_slo(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.serve import InferenceEngine
-
-    if sum((args.chaos, args.drift, args.slo)) > 1:
-        raise SystemExit(
-            "error: --chaos, --drift, and --slo are separate benches; pick one"
-        )
     if args.chaos:
         return _cmd_serve_bench_chaos(args)
-    if args.drift:
-        return _cmd_serve_bench_drift(args)
     if args.slo:
         return _cmd_serve_bench_slo(args)
     model, test, eval_spec = _serve_model(args)
-    workload, _, ids = _serving_workload(args, test)
 
     def serve(**overrides):
-        engine = InferenceEngine(
-            model, eval_spec, args.num_chips, _serve_config(args, **overrides),
-            fleet_spec=_fleet_spec(args),
-        )
-        engine.warm_up()  # program outside the timed region
-        if args.policy in ("accuracy-weighted", "drift-aware", "energy-aware"):
-            engine.probe_fleet(test, k=args.probe_k)
-        started = time.perf_counter()
-        if args.trace is not None:
-            outputs = engine.run_trace(workload, _cli_trace(args), ids=ids)
-        else:
-            outputs = engine.run(workload, ids=ids)
-        return engine, outputs, time.perf_counter() - started
+        trace = _cli_trace(args) if args.trace is not None else None
+        run = _session(args, model, test, eval_spec, trace, policy=args.policy, **overrides)
+        return run["engine"], run["outputs"], run["seconds"]
 
     # The sequential reference is per-request by definition: fusing its
     # single-sample batches would measure a different baseline.
     sequential, seq_out, seq_seconds = serve(max_batch=1, max_wait=0, fused=False)
     batched, batch_out, batch_seconds = serve()
     mismatched = sum(
-        not np.array_equal(seq_out[rid], batch_out[rid]) for rid in ids
+        not np.array_equal(seq_out[rid], batch_out[rid]) for rid in batch_out
     )
     speedup = seq_seconds / batch_seconds if batch_seconds > 0 else float("inf")
     rows = [
@@ -1311,6 +1193,7 @@ def _cmd_serve_bench(args) -> int:
           f"{fused_stats.fused_batches} batches, "
           f"{fused_stats.fused_fallback_batches} fallbacks")
     print(f"telemetry digest: {batched.telemetry.digest()}")
+    print(f"output digest: {_output_digest(batch_out)}")
     print()
     _print_span_breakdown(batched, title="per-stage span breakdown (batched)")
     if mismatched:

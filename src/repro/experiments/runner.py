@@ -15,7 +15,6 @@ from repro.experiments.configs import (
 )
 from repro.quant.qconfig import QConfig
 from repro.selftuning.tuner import SelfTuningConfig
-from repro.selftuning.wrap import attach_self_tuning, detach_self_tuning
 from repro.training.baselines import train_ptq_vat, train_qat, train_qavat
 from repro.variability.sampler import VariabilitySpec
 
@@ -101,23 +100,21 @@ def run_method(
     scale: ExperimentScale,
     method_config: MethodConfig = MethodConfig(),
     self_tuning: SelfTuningConfig | None = None,
-    backend: str | ChipBackend | None = "fake-quant",
+    backend: str | ChipBackend = "fake-quant",
 ) -> MethodResult:
     """Train + Monte-Carlo evaluate one method; optionally with self-tuning.
 
     Evaluation programs each Monte-Carlo chip through ``backend`` — the
     same :class:`repro.backends.ChipBackend` objects the serving engine
     uses, so experiment numbers and served numbers cannot drift apart.
-    The default fake-quant backend is bit-identical to the historical
-    in-place injection path; pass ``"circuit"`` to score the method on
-    crossbar-level hardware, or ``None`` for the legacy in-place path.
+    The default fake-quant backend is bit-identical to the in-place
+    injection path of :func:`~repro.eval.robustness.evaluate_robustness`;
+    pass ``"circuit"`` to score the method on crossbar-level hardware.
     """
     model, test = train_method(
         method, model_name, workload, qconfig, train_spec, scale, method_config
     )
-    chip_backend = make_backend(backend) if backend is not None else None
-    if chip_backend is None and self_tuning is not None:
-        attach_self_tuning(model, self_tuning)
+    chip_backend = make_backend(backend)
     clean = evaluate_clean(model, test, batch_size=scale.batch_size)
     robustness = evaluate_robustness(
         model,
@@ -129,8 +126,6 @@ def run_method(
         backend=chip_backend,
         self_tuning=self_tuning,
     )
-    if chip_backend is None and self_tuning is not None:
-        detach_self_tuning(model)
     return MethodResult(
         method=method,
         model_name=model_name,
@@ -139,33 +134,6 @@ def run_method(
         eval_spec=eval_spec,
         clean_accuracy=clean,
         robustness=robustness,
-        extras={"backend": chip_backend.name if chip_backend is not None else "in-place"},
+        extras={"backend": chip_backend.name},
     )
 
-
-def run_method_suite(
-    methods,
-    model_name: str,
-    workload: str,
-    qconfig: QConfig,
-    train_spec: VariabilitySpec,
-    eval_spec: VariabilitySpec,
-    scale: ExperimentScale,
-    method_config: MethodConfig = MethodConfig(),
-    backend: str | ChipBackend | None = "fake-quant",
-) -> dict[str, MethodResult]:
-    """Run several methods on the same workload/spec (one table column)."""
-    return {
-        method: run_method(
-            method,
-            model_name,
-            workload,
-            qconfig,
-            train_spec,
-            eval_spec,
-            scale,
-            method_config,
-            backend=backend,
-        )
-        for method in methods
-    }

@@ -57,9 +57,7 @@ class ServeConfig:
 
     ``max_batch=1`` with ``max_wait=0`` degenerates to sequential
     per-request serving — the baseline ``benchmarks/bench_serving.py``
-    measures against.  ``cache_capacity=None`` keeps every chip's mapping
-    resident (programmed exactly once); a smaller capacity models a host
-    that cannot hold the whole fleet and must reprogram on demand.
+    measures against.
 
     ``backend`` selects how chips are realized: a registered
     :mod:`repro.backends` name (``"fake-quant"``, ``"circuit"``) or a
@@ -103,20 +101,20 @@ class ServeConfig:
     field remains because the perfbench serving workload records it in
     its run description.
 
-    ``max_resident_chips`` bounds how many chips may be *realized* at
-    once on the coordinator: it caps the mapping cache at that many
-    resident :class:`~repro.backends.ProgrammedChip` objects (tightening
-    ``cache_capacity`` if both are set) and releases an evicted chip's
-    realized variation patterns back to its seed descriptor — the LRU
-    spill bound that lets ``num_chips=1000+`` fleets serve in
-    O(``max_resident_chips``) heavy state.  Spilled chips re-realize
-    deterministically on the next dispatch or probe.
+    ``max_resident_chips`` is the one cache bound.  ``None`` keeps every
+    chip's mapping resident (programmed exactly once); ``N`` caps the
+    mapping cache at ``N`` resident
+    :class:`~repro.backends.ProgrammedChip` objects, models a host that
+    cannot hold the whole fleet and must reprogram on demand, and releases
+    an evicted chip's realized variation patterns back to its seed
+    descriptor — the LRU spill bound that lets ``num_chips=1000+`` fleets
+    serve in O(``max_resident_chips``) heavy state.  Spilled chips
+    re-realize deterministically on the next dispatch or probe.
     """
 
     max_batch: int = 32
     max_wait: int = 4
     policy: str = "round-robin"
-    cache_capacity: int | None = None
     seed: int = 0
     self_tuning: SelfTuningConfig | None = None
     backend: str | ChipBackend = "fake-quant"
@@ -428,20 +426,8 @@ class InferenceEngine:
             "serve_program_seconds", "seconds per miss-triggered chip programming",
             lo=1e-6, hi=1e3,
         )
-        capacity = config.cache_capacity
-        if config.max_resident_chips is not None:
-            if config.max_resident_chips < 1:
-                raise ValueError(
-                    f"max_resident_chips must be >= 1 or None, got "
-                    f"{config.max_resident_chips}"
-                )
-            capacity = (
-                config.max_resident_chips
-                if capacity is None
-                else min(capacity, config.max_resident_chips)
-            )
         self.cache = MappingCache(
-            capacity=capacity,
+            capacity=config.max_resident_chips,
             clock=self.obs.clock.now,
             on_program=self._on_program,
             on_evict=self._on_evict,

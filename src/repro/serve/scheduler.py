@@ -70,6 +70,10 @@ class SchedulingPolicy:
     """Interface: pick one chip from the pool for a released batch."""
 
     name = "base"
+    #: Whether :meth:`choose` reads ``chip.quality``: a session serving
+    #: under this policy probes the fleet first (``probe_fleet``, or a
+    #: lifecycle's t=0 probe), else every chip looks alike.
+    needs_quality = False
 
     def choose(self, batch, chips):
         """Return the chip that should serve ``batch``."""
@@ -121,7 +125,28 @@ class LeastLoadedPolicy(SchedulingPolicy):
         return min(chips, key=lambda chip: (chip.served_samples, chip.index))
 
 
-class AccuracyWeightedPolicy(SchedulingPolicy):
+class QualityPolicy(SchedulingPolicy):
+    """Base of the policies that dispatch on probed chip quality.
+
+    A chip's weight is its quality estimate (1.0 while unprobed), floored
+    at ``floor`` so pathologically bad chips stay schedulable; chips
+    within ``tie_margin`` of the best weight are the contenders.
+    """
+
+    needs_quality = True
+    floor = 1e-3
+    tie_margin = 0.01
+
+    def _weight(self, chip) -> float:
+        quality = chip.quality if chip.quality is not None else 1.0
+        return max(float(quality), self.floor)
+
+    def _contenders(self, chips):
+        best = max(self._weight(chip) for chip in chips)
+        return [chip for chip in chips if self._weight(chip) >= best - self.tie_margin]
+
+
+class AccuracyWeightedPolicy(QualityPolicy):
     """Serve traffic proportionally to per-chip calibration quality.
 
     Deterministic weighted fair queueing: choose the chip maximizing
@@ -138,10 +163,6 @@ class AccuracyWeightedPolicy(SchedulingPolicy):
         # mirroring the engine's promise that no request is ever dropped.
         self.floor = float(floor)
 
-    def _weight(self, chip) -> float:
-        quality = chip.quality if chip.quality is not None else 1.0
-        return max(float(quality), self.floor)
-
     def choose(self, batch, chips):
         return max(
             chips,
@@ -149,7 +170,7 @@ class AccuracyWeightedPolicy(SchedulingPolicy):
         )
 
 
-class DriftAwarePolicy(SchedulingPolicy):
+class DriftAwarePolicy(QualityPolicy):
     """Greedy accuracy-first dispatch for drifting fleets.
 
     Accuracy-weighted fair queueing is the right call on a *static* fleet:
@@ -191,14 +212,12 @@ class DriftAwarePolicy(SchedulingPolicy):
         return max(float(quality) / (1.0 + self.age_discount * age), self.floor)
 
     def choose(self, batch, chips):
-        best = max(self._weight(chip) for chip in chips)
-        contenders = [
-            chip for chip in chips if self._weight(chip) >= best - self.tie_margin
-        ]
-        return min(contenders, key=lambda chip: (chip.served_samples, chip.index))
+        return min(
+            self._contenders(chips), key=lambda chip: (chip.served_samples, chip.index)
+        )
 
 
-class EnergyAwarePolicy(SchedulingPolicy):
+class EnergyAwarePolicy(QualityPolicy):
     """Cheapest-adequate dispatch: best quality first, then least energy.
 
     Quality still gates dispatch exactly like :class:`DriftAwarePolicy`'s
@@ -223,17 +242,9 @@ class EnergyAwarePolicy(SchedulingPolicy):
         self.floor = float(floor)
         self.tie_margin = float(tie_margin)
 
-    def _weight(self, chip) -> float:
-        quality = chip.quality if chip.quality is not None else 1.0
-        return max(float(quality), self.floor)
-
     def choose(self, batch, chips):
-        best = max(self._weight(chip) for chip in chips)
-        contenders = [
-            chip for chip in chips if self._weight(chip) >= best - self.tie_margin
-        ]
         return min(
-            contenders,
+            self._contenders(chips),
             key=lambda chip: (
                 float(getattr(chip, "energy_uj", 0.0)),
                 chip.served_samples,
@@ -242,7 +253,7 @@ class EnergyAwarePolicy(SchedulingPolicy):
         )
 
 
-class LatencyAwarePolicy(SchedulingPolicy):
+class LatencyAwarePolicy(QualityPolicy):
     """Race deadline misses against accuracy: urgency flips the dispatch rule.
 
     A deadline in this stack is lost to *queueing*, not to raw forward
@@ -284,10 +295,6 @@ class LatencyAwarePolicy(SchedulingPolicy):
         self.floor = float(floor)
         self.tie_margin = float(tie_margin)
 
-    def _weight(self, chip) -> float:
-        quality = chip.quality if chip.quality is not None else 1.0
-        return max(float(quality), self.floor)
-
     def choose(self, batch, chips):
         headroom = batch.headroom() if hasattr(batch, "headroom") else None
         if headroom is not None and headroom <= self.urgent_ticks:
@@ -299,11 +306,9 @@ class LatencyAwarePolicy(SchedulingPolicy):
                     chip.index,
                 ),
             )
-        best = max(self._weight(chip) for chip in chips)
-        contenders = [
-            chip for chip in chips if self._weight(chip) >= best - self.tie_margin
-        ]
-        return min(contenders, key=lambda chip: (chip.served_samples, chip.index))
+        return min(
+            self._contenders(chips), key=lambda chip: (chip.served_samples, chip.index)
+        )
 
 
 POLICIES = {

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backends import make_backend
+from repro.eval.robustness import evaluate_robustness
 from repro.experiments import (
     EXPERIMENT_SCALES,
     MethodConfig,
@@ -12,6 +14,7 @@ from repro.experiments import (
     model_for,
     run_method,
 )
+from repro.experiments.runner import train_method
 from repro.quant import QConfig
 from repro.variability import VariabilitySpec, WeightProportionalVariance
 
@@ -92,19 +95,24 @@ class TestRunnerEndToEnd:
             run_method("dropout", "lenet5", "mnist", QConfig(), spec, spec, scale)
 
     def test_backend_evaluation_matches_legacy_in_place_path(self):
-        """The fake-quant backend must reproduce the historical in-place
-        injection numbers exactly — experiments cannot drift when the
-        evaluation is re-routed through repro.backends."""
+        """The fake-quant backend must reproduce the in-place injection
+        numbers of ``evaluate_robustness`` exactly — experiments cannot
+        drift when the evaluation is routed through repro.backends."""
         scale = EXPERIMENT_SCALES["tiny"]
         spec = VariabilitySpec.within_only(0.3, WeightProportionalVariance())
-        args = ("qat", "lenet5", "mnist", QConfig.from_notation("A8W4"), spec, spec,
-                scale, MethodConfig(seed=1))
-        legacy = run_method(*args, backend=None)
-        routed = run_method(*args, backend="fake-quant")
-        assert routed.robustness.accuracies == legacy.robustness.accuracies
-        assert routed.clean_accuracy == legacy.clean_accuracy
+        qconfig = QConfig.from_notation("A8W4")
+        routed = run_method("qat", "lenet5", "mnist", qconfig, spec, spec, scale,
+                            MethodConfig(seed=1))
         assert routed.extras["backend"] == "fake-quant"
-        assert legacy.extras["backend"] == "in-place"
+        model, test = train_method("qat", "lenet5", "mnist", qconfig, spec, scale,
+                                   MethodConfig(seed=1))
+        common = dict(num_chips=scale.num_chips, batch_size=scale.batch_size, seed=4322)
+        in_place = evaluate_robustness(model, test, spec, **common)
+        backend = evaluate_robustness(
+            model, test, spec, backend=make_backend("fake-quant"), **common
+        )
+        assert backend.accuracies == in_place.accuracies
+        assert routed.robustness.accuracies == in_place.accuracies
 
     def test_circuit_backend_evaluation(self):
         """Scoring a trained method on crossbar-level hardware end to end."""

@@ -90,7 +90,7 @@ class TestParser:
         assert args.num_chips == 4
         assert args.max_batch == 32
         assert args.policy == "round-robin"
-        assert args.cache_capacity is None
+        assert args.max_resident_chips is None
         assert not args.skip_training
 
     def test_serve_bench_rejects_unknown_policy(self):
@@ -103,21 +103,27 @@ class TestParser:
             ["--num-chips", "0"],
             ["--max-batch", "-3"],
             ["--max-wait", "-1"],
-            ["--cache-capacity", "0"],
+            ["--max-resident-chips", "0"],
             ["--probe-k", "0"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *flags])
 
-    def test_serve_bench_drift_flags(self):
+    def test_serve_bench_modes_are_exclusive(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", "--chaos", "--slo"])
+
+    def test_drift_flags_belong_to_lifetime_bench(self):
+        for flags in (["--drift"], ["--drift-nu", "0.2"], ["--cache-capacity", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve-bench", *flags])
         args = build_parser().parse_args(
-            ["serve-bench", "--drift", "--policy", "accuracy-weighted",
-             "--trace", "bursty", "--fleet", "rram:2,flash:2"]
+            ["lifetime-bench", "--trace", "bursty", "--fleet", "rram:2,flash:2",
+             "--drift-kind", "temperature"]
         )
-        assert args.drift
         assert args.trace == "bursty"
         assert args.fleet == "rram:2,flash:2"
-        assert args.drift_kind == "aging"
+        assert args.drift_kind == "temperature"
 
     def test_drift_aware_policy_accepted(self):
         args = build_parser().parse_args(["serve-bench", "--policy", "drift-aware"])
@@ -126,7 +132,7 @@ class TestParser:
     def test_lifetime_bench_defaults(self):
         args = build_parser().parse_args(["lifetime-bench"])
         assert args.command == "lifetime-bench"
-        assert args.policy == "drift-aware"
+        assert not hasattr(args, "policy")  # it races --policies
         assert args.policies == ["round-robin", "accuracy-weighted", "drift-aware"]
         assert args.probe_every == 8.0
 
@@ -183,31 +189,6 @@ class TestCliEndToEnd:
         assert record["telemetry"]["requests"] == 48
         assert record["cache"]["misses"] >= 2
 
-    def test_serve_bench_drift_races_policies(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--drift",
-                "--policy", "accuracy-weighted",
-                "--skip-training",
-                "--requests", "64",
-                "--max-batch", "8",
-                "--trace-rate", "4",
-                "--results-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "drift-aware vs round-robin" in out
-        assert "probed accuracy over time" in out
-        record = ResultStore(str(tmp_path)).load("serve-bench-drift-lenet5")
-        assert record["fleet"] == "rram:2,flash:2"
-        policies = [entry["policy"] for entry in record["policies"]]
-        assert policies == ["accuracy-weighted", "drift-aware", "round-robin"]
-        for entry in record["policies"]:
-            assert 0.0 <= entry["end_accuracy"] <= 1.0
-            assert entry["telemetry"]["quality_series"]
-
     def test_lifetime_bench_end_to_end(self, tmp_path, capsys):
         code = main(
             [
@@ -216,17 +197,62 @@ class TestCliEndToEnd:
                 "--requests", "64",
                 "--max-batch", "8",
                 "--trace-rate", "4",
-                "--policies", "round-robin", "drift-aware",
+                "--policies", "accuracy-weighted", "drift-aware", "round-robin",
                 "--results-dir", str(tmp_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert "accuracy-weighted vs round-robin end-of-trace accuracy" in out
+        assert "drift-aware vs round-robin end-of-trace accuracy" in out
+        assert "probed accuracy over time" in out
         assert "best end-of-trace policy" in out
         record = ResultStore(str(tmp_path)).load("lifetime-bench-lenet5")
+        assert record["fleet"] == "rram:2,flash:2"
         assert [entry["policy"] for entry in record["policies"]] == [
-            "round-robin", "drift-aware",
+            "accuracy-weighted", "drift-aware", "round-robin",
         ]
+        for entry in record["policies"]:
+            assert 0.0 <= entry["end_accuracy"] <= 1.0
+            assert entry["telemetry"]["quality_series"]
+
+    def test_lifetime_bench_without_round_robin_prints_no_lead(self, tmp_path, capsys):
+        code = main(
+            [
+                "lifetime-bench",
+                "--skip-training",
+                "--requests", "32",
+                "--max-batch", "8",
+                "--policies", "drift-aware",
+                "--results-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert "vs round-robin" not in capsys.readouterr().out
+
+    def test_output_digest_sees_the_backend(self, tmp_path, capsys):
+        """The telemetry digest hashes accounting only, so it is blind to a
+        fake-quant vs circuit swap; the output digest must not be."""
+        digests = {}
+        for backend in ("fake-quant", "circuit"):
+            code = main(
+                [
+                    "serve-bench",
+                    "--backend", backend,
+                    "--skip-training",
+                    "--num-chips", "2",
+                    "--requests", "32",
+                    "--max-batch", "16",
+                    "--results-dir", str(tmp_path),
+                ]
+            )
+            assert code == 0
+            digests[backend] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("output digest: ")
+            ]
+        assert len(digests["fake-quant"]) == len(digests["circuit"]) == 1
+        assert digests["fake-quant"] != digests["circuit"]
 
     def test_bench_record_counts_the_fleet_that_ran(self, tmp_path, capsys):
         """--fleet overrides --num-chips, so the BENCH scale block must

@@ -83,19 +83,25 @@ class TestDisabledPathOverhead:
         # spans (per-batch dispatch + chip.forward); fused dispatch
         # triggers strictly fewer obs calls, so bound the worst case.
         fused = False
-        calls = 20000
-        started = time.perf_counter()
-        for _ in range(calls):
-            with obs.span("stage", chip="chip00", tick=0):
-                pass
-            obs.event("enqueue", request="r", tick=0)
-        per_op_seconds = (time.perf_counter() - started) / (2 * calls)
+        calls = 5000
+        # Interleave the two timings and keep the best of each, so a
+        # neighbour stealing the cores for a while inflates at most some
+        # rounds of both rather than one side of the ratio.
+        per_op, per_request = [], []
+        for _ in range(5):
+            started = time.perf_counter()
+            for _ in range(calls):
+                with obs.span("stage", chip="chip00", tick=0):
+                    pass
+                obs.event("enqueue", request="r", tick=0)
+            per_op.append((time.perf_counter() - started) / (2 * calls))
 
-        engine = _engine(model, tracing=False, fused=fused)
-        engine.warm_up()
-        started = time.perf_counter()
-        engine.run(workload, ids=ids)
-        per_request_seconds = (time.perf_counter() - started) / len(ids)
+            engine = _engine(model, tracing=False, fused=fused)
+            engine.warm_up()
+            started = time.perf_counter()
+            engine.run(workload, ids=ids)
+            per_request.append((time.perf_counter() - started) / len(ids))
+        per_op_seconds, per_request_seconds = min(per_op), min(per_request)
 
         # Per request: one enqueue event, plus a per-batch share of the
         # batch event and the dispatch/schedule/mapping/forward spans.

@@ -168,7 +168,7 @@ class TestCacheIntegration:
     def test_small_cache_forces_reprogramming(self, served_model):
         model, dataset = served_model
         engine = _engine(
-            model, num_chips=3, max_batch=4, max_wait=0, cache_capacity=1
+            model, num_chips=3, max_batch=4, max_wait=0, max_resident_chips=1
         )
         engine.run(dataset.images[:24])
         assert engine.cache.stats.misses > 3
@@ -180,7 +180,7 @@ class TestCacheIntegration:
         ids = [f"r{i:03d}" for i in range(24)]
         roomy = _engine(model, num_chips=3, max_batch=4, max_wait=0, seed=5)
         tight = _engine(
-            model, num_chips=3, max_batch=4, max_wait=0, seed=5, cache_capacity=1
+            model, num_chips=3, max_batch=4, max_wait=0, seed=5, max_resident_chips=1
         )
         full = roomy.run(dataset.images[:24], ids=ids)
         evicting = tight.run(dataset.images[:24], ids=ids)

@@ -118,8 +118,8 @@ def test_only_dispatched_chips_realize(served_model):
 
 def test_max_resident_chips_bounds_cache_and_spills(served_model):
     model, dataset = served_model
-    engine = _engine(model, num_chips=12, max_resident_chips=4, cache_capacity=64)
-    assert engine.cache.capacity == 4  # min(cache_capacity, max_resident_chips)
+    engine = _engine(model, num_chips=12, max_resident_chips=4)
+    assert engine.cache.capacity == 4
     _serve_bursty(engine, _workload(dataset, 48))
     stats = engine.cache.stats
     assert stats.peak_resident <= 4

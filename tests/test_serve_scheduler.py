@@ -55,6 +55,14 @@ class TestRegistry:
         with pytest.raises(KeyError):
             make_policy("fortune-teller")
 
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_needs_quality_matches_what_choose_reads(self, name):
+        """Sessions probe the fleet only for ``needs_quality`` policies, so
+        the flag must be exactly "probed quality changes the dispatch"."""
+        unprobed = _serve(make_policy(name), _fleet(), batches=8)
+        probed = _serve(make_policy(name), _fleet(qualities=[0.1, 0.9, 0.1, 0.9]), batches=8)
+        assert (probed != unprobed) == POLICIES[name].needs_quality
+
 
 class TestRoundRobin:
     def test_cycles_in_index_order(self):
